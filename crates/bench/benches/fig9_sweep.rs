@@ -6,13 +6,14 @@
 //! cargo bench -p bench --bench fig9_sweep
 //! ```
 
-use raven_core::experiments::{run_fig9, Fig9Config};
+use raven_core::experiments::{run_fig9_with, Fig9Config};
+use raven_core::ExecutorConfig;
 
 fn main() {
     let started = std::time::Instant::now();
     let config =
         if bench::quick_mode() { Fig9Config::quick(21) } else { Fig9Config::paper_scale(21) };
-    let result = run_fig9(&config);
+    let result = run_fig9_with(&config, &ExecutorConfig::default());
     print!("{}", result.render());
     println!(
         "\nreproduced claims: probabilities grow with value and duration; small/short \

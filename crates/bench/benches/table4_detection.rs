@@ -7,8 +7,9 @@
 //! cargo bench -p bench --bench table4_detection
 //! ```
 
-use raven_core::experiments::{run_table4, Table4Config};
+use raven_core::experiments::{run_table4_with, Table4Config};
 use raven_core::training::TrainingConfig;
+use raven_core::ExecutorConfig;
 
 fn main() {
     let started = std::time::Instant::now();
@@ -19,7 +20,7 @@ fn main() {
         // thresholds from 600 fault-free runs.
         Table4Config::paper_scale(9)
     };
-    let result = run_table4(&config);
+    let result = run_table4_with(&config, &ExecutorConfig::default());
     print!("{}", result.render());
     println!(
         "paper: A — model 88.0/89.8/12.4/74.8, RAVEN 84.6/53.3/7.7/57.8; \
@@ -42,7 +43,7 @@ fn main() {
             },
             ..Table4Config::quick(9)
         };
-        let r = run_table4(&cfg);
+        let r = run_table4_with(&cfg, &ExecutorConfig::default());
         let b = &r.scenarios[1];
         println!(
             "  band {:>6.2}–{:<6.2}: model ACC {:>5.1} TPR {:>5.1} FPR {:>5.1}",

@@ -55,11 +55,6 @@ impl FusionAblation {
 
 /// Runs the fusion ablation: the same mixed attack/clean campaign under both
 /// fusion rules, reusing one set of learned thresholds.
-pub fn run_fusion_ablation(seed: u64, runs_per_rule: u32) -> FusionAblation {
-    run_fusion_ablation_with(seed, runs_per_rule, &ExecutorConfig::default())
-}
-
-/// [`run_fusion_ablation`] with explicit executor control.
 pub fn run_fusion_ablation_with(
     seed: u64,
     runs_per_rule: u32,
@@ -167,11 +162,6 @@ impl MitigationAblation {
 }
 
 /// Runs the mitigation ablation: identical attacks under the three policies.
-pub fn run_mitigation_ablation(seed: u64, runs_per_policy: u32) -> MitigationAblation {
-    run_mitigation_ablation_with(seed, runs_per_policy, &ExecutorConfig::default())
-}
-
-/// [`run_mitigation_ablation`] with explicit executor control.
 pub fn run_mitigation_ablation_with(
     seed: u64,
     runs_per_policy: u32,
@@ -263,12 +253,7 @@ impl HardenedBoardResult {
     }
 }
 
-/// Runs the hardened-board counterfactual with the default executor.
-pub fn run_hardened_board(seed: u64) -> HardenedBoardResult {
-    run_hardened_board_with(seed, &ExecutorConfig::default())
-}
-
-/// [`run_hardened_board`] with explicit executor control: the two
+/// Runs the hardened-board counterfactual on the campaign executor: the two
 /// counterfactual sessions (scenario B, then scenario A, both against the
 /// checksum-verifying board) fan out as one sweep; seeds match the original
 /// serial protocol, so the result is identical for any worker count.
@@ -362,11 +347,6 @@ impl LookaheadAblation {
 }
 
 /// Runs the lookahead ablation: the same campaign with horizons 1–8.
-pub fn run_lookahead_ablation(seed: u64, runs_per_horizon: u32) -> LookaheadAblation {
-    run_lookahead_ablation_with(seed, runs_per_horizon, &ExecutorConfig::default())
-}
-
-/// [`run_lookahead_ablation`] with explicit executor control.
 pub fn run_lookahead_ablation_with(
     seed: u64,
     runs_per_horizon: u32,
@@ -505,12 +485,7 @@ impl BitwStudy {
 
 /// Runs the BITW study: for each placement, (1) eavesdrop a session and try
 /// the offline analysis, (2) deploy a Pedal-Down-triggered torque injection
-/// and measure the physical outcome.
-pub fn run_bitw_study(seed: u64) -> BitwStudy {
-    run_bitw_study_with(seed, &ExecutorConfig::default())
-}
-
-/// [`run_bitw_study`] with explicit executor control: the three placements
+/// and measure the physical outcome. The three placements
 /// run as one sweep (each placement's eavesdrop + attack phases stay
 /// serial inside its run). Per-placement seeds are unchanged from the
 /// original serial protocol, so rows are identical for any worker count.
@@ -617,7 +592,7 @@ mod tests {
 
     #[test]
     fn fusion_reduces_false_positives() {
-        let r = run_fusion_ablation(41, 12);
+        let r = run_fusion_ablation_with(41, 12, &ExecutorConfig::default());
         let all = &r.rows[0];
         let any = &r.rows[1];
         // The paper's justification for fusion: fewer false alarms at
@@ -634,7 +609,7 @@ mod tests {
 
     #[test]
     fn mitigations_trade_safety_for_availability() {
-        let r = run_mitigation_ablation(43, 6);
+        let r = run_mitigation_ablation_with(43, 6, &ExecutorConfig::default());
         let observe = &r.rows[0];
         let hold = &r.rows[1];
         let estop = &r.rows[2];
@@ -651,7 +626,7 @@ mod tests {
 
     #[test]
     fn longer_horizons_do_not_hurt_detection() {
-        let r = run_lookahead_ablation(49, 9);
+        let r = run_lookahead_ablation_with(49, 9, &ExecutorConfig::default());
         let h1 = &r.rows[0];
         let h8 = r.rows.last().unwrap();
         // Deeper rollouts can only strengthen the EE rule: TPR monotone
@@ -664,7 +639,7 @@ mod tests {
 
     #[test]
     fn bitw_wire_placement_is_useless_host_placement_degrades_to_dos() {
-        let r = run_bitw_study(47);
+        let r = run_bitw_study_with(47, &ExecutorConfig::default());
         let by = |label: &str| r.rows.iter().find(|row| row.config == label).unwrap();
         // Unprotected: recon works, attack jumps the arm.
         assert!(by("none").recon_succeeded, "{}", r.render());
@@ -686,7 +661,7 @@ mod tests {
 
     #[test]
     fn hardened_board_stops_b_not_a() {
-        let r = run_hardened_board(45);
+        let r = run_hardened_board_with(45, &ExecutorConfig::default());
         assert!(r.b_integrity_rejects > 0, "{}", r.render());
         assert!(!r.b_adverse, "checksums must stop byte-level corruption\n{}", r.render());
         assert!(r.a_still_effective, "integrity checks cannot stop scenario A\n{}", r.render());

@@ -140,11 +140,6 @@ fn chaos_presets() -> [(&'static str, ChaosConfig); 3] {
     ]
 }
 
-/// Runs the study serially.
-pub fn run_chaos_study(config: &ChaosStudyConfig) -> ChaosStudy {
-    run_chaos_study_with(config, &ExecutorConfig::serial())
-}
-
 /// Runs the study on the campaign executor.
 pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) -> ChaosStudy {
     // Reduced training leaves the extreme percentiles noisy; a 25 % margin
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn off_preset_schedules_and_injects_nothing() {
-        let study = run_chaos_study(&tiny());
+        let study = run_chaos_study_with(&tiny(), &ExecutorConfig::serial());
         let off = study.row("off").expect("off row");
         assert_eq!(off.faults_scheduled, 0, "{}", study.render());
         assert_eq!(off.faults_injected, 0, "{}", study.render());
@@ -251,7 +246,9 @@ mod tests {
     #[test]
     fn study_is_byte_identical_for_any_worker_count() {
         let config = tiny();
-        let serial = serde_json::to_string(&run_chaos_study(&config)).expect("serialize");
+        let serial =
+            serde_json::to_string(&run_chaos_study_with(&config, &ExecutorConfig::serial()))
+                .expect("serialize");
         let parallel =
             serde_json::to_string(&run_chaos_study_with(&config, &ExecutorConfig::with_workers(3)))
                 .expect("serialize");

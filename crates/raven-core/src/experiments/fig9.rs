@@ -135,12 +135,7 @@ impl Fig9Result {
     }
 }
 
-/// Runs the Fig. 9 sweep with the default executor (all cores).
-pub fn run_fig9(config: &Fig9Config) -> Fig9Result {
-    run_fig9_with(config, &ExecutorConfig::default())
-}
-
-/// [`run_fig9`] with explicit executor control.
+/// Runs the Fig. 9 sweep on the campaign executor.
 ///
 /// The whole values × durations × repetitions grid is flattened into one
 /// sweep (cell-major, repetition-minor) so workers stay busy across cell
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn corner_cells_show_the_paper_shape() {
-        let r = run_fig9(&Fig9Config::quick(21));
+        let r = run_fig9_with(&Fig9Config::quick(21), &ExecutorConfig::default());
         assert_eq!(r.cells.len(), 4);
         let small_short = r.cell(2_000, 4).unwrap();
         let big_long = r.cell(30_000, 256).unwrap();

@@ -19,17 +19,16 @@ pub mod table2;
 pub mod table4;
 
 pub use ablations::{
-    run_bitw_study, run_fusion_ablation, run_fusion_ablation_with, run_hardened_board,
-    run_lookahead_ablation, run_lookahead_ablation_with, run_mitigation_ablation,
-    run_mitigation_ablation_with, BitwStudy, FusionAblation, HardenedBoardResult,
-    LookaheadAblation, MitigationAblation,
+    run_bitw_study_with, run_fusion_ablation_with, run_hardened_board_with,
+    run_lookahead_ablation_with, run_mitigation_ablation_with, BitwStudy, FusionAblation,
+    HardenedBoardResult, LookaheadAblation, MitigationAblation,
 };
-pub use chaos::{run_chaos_study, run_chaos_study_with, ChaosStudy, ChaosStudyConfig};
+pub use chaos::{run_chaos_study_with, ChaosStudy, ChaosStudyConfig};
 pub use fig5::{run_fig5, Fig5Result};
 pub use fig6::{run_fig6, Fig6Result};
 pub use fig8::{run_fig8, Fig8Result};
-pub use fig9::{run_fig9, run_fig9_with, Fig9Config, Fig9Result};
+pub use fig9::{run_fig9_with, Fig9Config, Fig9Result};
 pub use network::{run_network_study, NetworkRow, NetworkStudy};
 pub use table1::{run_table1, Table1Result};
 pub use table2::{run_table2, Table2Result};
-pub use table4::{run_table4, run_table4_with, Table4Config, Table4Result};
+pub use table4::{run_table4_with, Table4Config, Table4Result};

@@ -271,13 +271,8 @@ fn run_scenario(
     (comparison, metrics)
 }
 
-/// Runs the full Table IV protocol with the default executor (all cores).
-pub fn run_table4(config: &Table4Config) -> Table4Result {
-    run_table4_with(config, &ExecutorConfig::default())
-}
-
-/// [`run_table4`] with explicit executor control; output is bit-identical
-/// for any worker count.
+/// Runs the full Table IV protocol on the campaign executor; output is
+/// bit-identical for any worker count.
 pub fn run_table4_with(config: &Table4Config, exec: &ExecutorConfig) -> Table4Result {
     let training = train_thresholds_with(&config.training, exec);
     let (scenario_a, metrics_a) =
@@ -304,7 +299,7 @@ mod tests {
         cfg.scenario_a_runs = 16;
         cfg.scenario_b_runs = 16;
         cfg.training.runs = 6;
-        let r = run_table4(&cfg);
+        let r = run_table4_with(&cfg, &ExecutorConfig::default());
         assert_eq!(r.scenarios.len(), 2);
         for s in &r.scenarios {
             // The headline shape of Table IV: the dynamic model detects at

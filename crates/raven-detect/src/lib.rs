@@ -29,7 +29,7 @@ pub mod features;
 pub mod mutants;
 pub mod thresholds;
 
-pub use batch::{BatchDetector, SoaFeatures};
+pub use batch::BatchDetector;
 pub use detector::{
     shared, Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule,
     GuardInterceptor, Mitigation, NoFaultFreeSamples, SharedDetector,

@@ -9,13 +9,19 @@
 //! survives means the oracles have a blind spot exactly where the defect
 //! lives.
 //!
-//! The hooks are wired through `cfg`-paired private helpers on
-//! [`crate::DynamicDetector`] and [`crate::GuardInterceptor`]: with the
-//! feature off the helpers are trivial pass-throughs and the mutant code
-//! does not exist; with the feature on but no mutation installed
-//! (`set_mutation(None)`, the default) every helper returns the production
-//! value, so an unmutated `mutant-hooks` build behaves identically to a
-//! release build. That equivalence is what lets the kill-suite's control
+//! The hooks are wired through `cfg`-paired private helpers. The nine
+//! lane-side decisions (fusion, the end-effector limit, the alarm counter,
+//! the first-alarm index and the E-STOP request) sit on
+//! [`crate::BatchDetector`], the one assessment path the guard and the
+//! fleet monitor share, installed with `BatchDetector::set_mutation`
+//! (`DynamicDetector::set_mutation` forwards to its lane). The three
+//! mitigation decisions (block path, hold cooldown, substitution source)
+//! sit on [`crate::DynamicDetector`] and are read by
+//! [`crate::GuardInterceptor`]. With the feature off the helpers are
+//! trivial pass-throughs and the mutant code does not exist; with the
+//! feature on but no mutation installed (`set_mutation(None)`, the
+//! default) every helper returns the production value, so an unmutated
+//! `mutant-hooks` build behaves identically to a release build. That equivalence is what lets the kill-suite's control
 //! arm ("unmutated build passes every oracle") share a binary with the
 //! mutant arms.
 

@@ -1,10 +1,15 @@
-//! Property-based equivalence: [`BatchDetector`] vs independent scalar
-//! [`DynamicDetector`] sessions, and the ee_step hoist regression.
+//! Property-based equivalence: every [`BatchDetector`] lane vs an
+//! independent reference, and the ee_step hoist regression.
 //!
 //! Contract under test: every batched lane produces assessments (features,
-//! alarm bits, counters) *identical* to a standalone detector fed the same
-//! measurements and commands — across lookahead horizons, fusion rules,
-//! perturbed per-lane models, and `reset_session` on one lane mid-batch.
+//! alarm bits, counters) *identical* to the reference in `reference/` —
+//! the paper's decision written out from `RtModel::predict`, the instant
+//! features and the threshold fusion, sharing no code with the lane path —
+//! fed the same measurements and commands, across lookahead horizons,
+//! fusion rules, perturbed per-lane models, and `reset_session` on one
+//! lane mid-batch.
+
+mod reference;
 
 use proptest::prelude::*;
 use raven_detect::{
@@ -12,6 +17,7 @@ use raven_detect::{
 };
 use raven_dynamics::{PlantParams, RtModel};
 use raven_kinematics::{ArmConfig, JointState, NUM_AXES};
+use reference::{reference_assess, Reference};
 
 fn workspace_joints() -> impl Strategy<Value = JointState> {
     (-1.0..1.0f64, 0.5..2.2f64, 0.12..0.40f64).prop_map(|(s, e, i)| JointState::new(s, e, i))
@@ -43,7 +49,7 @@ fn config(lookahead_steps: u32, fusion: FusionRule) -> DetectorConfig {
 }
 
 /// Drives `cycles` measurement+assessment rounds over `m` lanes and asserts
-/// every batched verdict equals its scalar twin's.
+/// every batched verdict equals its reference's.
 fn assert_equivalent(
     m: usize,
     cfg: DetectorConfig,
@@ -56,46 +62,47 @@ fn assert_equivalent(
     let arms: Vec<_> = sessions.iter().map(|(a, _)| a.clone()).collect();
     let models: Vec<_> = sessions.iter().map(|(_, mo)| mo.clone()).collect();
     let mut batch = BatchDetector::from_models(&arms, &models, cfg);
-    let mut scalars: Vec<_> =
-        sessions.iter().map(|(a, mo)| DynamicDetector::new(a.clone(), mo.clone(), cfg)).collect();
-    for (l, scalar) in scalars.iter_mut().enumerate() {
+    let mut refs: Vec<_> = sessions
+        .iter()
+        .map(|(a, mo)| Reference::new(a.clone(), mo.clone(), cfg, Some(t)))
+        .collect();
+    for l in 0..m {
         batch.arm_lane(l, t);
-        scalar.arm_with(t);
     }
     let coupling = PlantParams::raven_ii().coupling();
     for (k, (pose, cmd)) in poses.iter().zip(dacs).enumerate() {
         if let Some((lane, at)) = reset_lane_at {
             if k == at {
                 batch.reset_session(lane);
-                scalars[lane].reset_session();
+                refs[lane].reset();
             }
         }
-        for (l, scalar) in scalars.iter_mut().enumerate() {
+        for (l, r) in refs.iter_mut().enumerate() {
             // Each lane wanders a slightly different trajectory.
             let j = JointState::new(pose.shoulder + 0.01 * l as f64, pose.elbow, pose.insertion);
             let mpos = coupling.joints_to_motors(&j);
-            scalar.sync_measurement(mpos);
+            r.sync(mpos);
             batch.sync_lane(l, mpos);
         }
         let cmds: Vec<[i16; 3]> = (0..m).map(|_| *cmd).collect();
         let verdicts = batch.assess_lanes(&cmds).to_vec();
-        for (l, scalar) in scalars.iter_mut().enumerate() {
-            let expected = scalar.assess(cmd);
+        for (l, r) in refs.iter_mut().enumerate() {
+            let expected = reference_assess(r, cmd);
             let got = verdicts[l];
             prop_assert!(
                 got == expected,
-                "lane {l} cycle {k}: batch {got:?} != scalar {expected:?}"
+                "lane {l} cycle {k}: batch {got:?} != reference {expected:?}"
             );
         }
     }
-    for (l, scalar) in scalars.iter().enumerate() {
-        prop_assert!(batch.lane_assessments(l) == scalar.assessments(), "assessments lane {l}");
-        prop_assert!(batch.lane_alarms(l) == scalar.alarms(), "alarms lane {l}");
+    for (l, r) in refs.iter().enumerate() {
+        prop_assert!(batch.lane_assessments(l) == r.assessments, "assessments lane {l}");
+        prop_assert!(batch.lane_alarms(l) == r.alarms, "alarms lane {l}");
         prop_assert!(
-            batch.lane_first_alarm_assessment(l) == scalar.first_alarm_assessment(),
+            batch.lane_first_alarm_assessment(l) == r.first_alarm_assessment,
             "first alarm lane {l}"
         );
-        prop_assert!(batch.lane_estop_requested(l) == scalar.estop_requested(), "estop lane {l}");
+        prop_assert!(batch.lane_estop_requested(l) == r.estop_requested, "estop lane {l}");
     }
     Ok(())
 }
@@ -103,10 +110,10 @@ fn assert_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batched lanes == scalar detectors across lookahead horizons 1/2/4
+    /// Batched lanes == the reference across lookahead horizons 1/2/4
     /// and both fusion rules.
     #[test]
-    fn batch_matches_scalar_detectors(
+    fn batch_matches_reference(
         m in 1..5usize,
         lookahead in prop_oneof![Just(1u32), Just(2u32), Just(4u32)],
         fusion in prop_oneof![Just(FusionRule::AllThree), Just(FusionRule::AnyOne)],
@@ -118,7 +125,7 @@ proptest! {
     }
 
     /// `reset_session` on one lane mid-batch: that lane restarts exactly
-    /// like a freshly reset scalar detector, and no other lane notices.
+    /// like a freshly reset reference, and no other lane notices.
     #[test]
     fn reset_session_mid_batch_isolates_the_lane(
         lane in 0..3usize,

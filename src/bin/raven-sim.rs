@@ -83,12 +83,7 @@ fn parse_sweep_opts(args: &[String]) -> SweepOpts {
     let mut rest = args[2..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--workers" => {
-                workers = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| die("--workers needs a positive integer"));
-            }
+            "--workers" => workers = workers_flag(rest.next()),
             "--paper" => paper = true,
             "--metrics-json" => {
                 metrics_json =
@@ -286,6 +281,15 @@ fn flush_sweep_trace(opts: &SweepOpts) {
 fn die<T>(msg: &str) -> Option<T> {
     eprintln!("raven-sim: {msg}");
     std::process::exit(2);
+}
+
+/// The value of `--workers`, validated like `$RAVEN_WORKERS`.
+fn workers_flag(value: Option<&String>) -> Option<usize> {
+    match value.map(|v| raven_core::parse_workers(v)) {
+        Some(Ok(workers)) => Some(workers),
+        Some(Err(e)) => die(&format!("--workers {e}")),
+        None => die("--workers needs a positive integer"),
+    }
 }
 
 fn attack() -> AttackSetup {
@@ -509,12 +513,7 @@ fn run_fleet_command(args: &[String]) {
                     .filter(|&n: &u64| n > 0)
                     .or_else(|| die("--duration needs a positive ms count"));
             }
-            "--workers" => {
-                workers = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| die("--workers needs a positive integer"));
-            }
+            "--workers" => workers = workers_flag(rest.next()),
             "--metrics-json" => {
                 metrics_json =
                     rest.next().map(PathBuf::from).or_else(|| die("--metrics-json needs a path"));
