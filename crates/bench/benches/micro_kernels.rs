@@ -6,8 +6,10 @@
 //! * one bare/logged/injected channel write (Table II);
 //! * FK + IK round (the kinematic chain of Fig. 2);
 //! * one full plant control-period step (the simulation's hot loop);
-//! * the scalar-vs-batched estimator+detector kernel at M ∈ {1, 8, 64, 256}
-//!   sessions (the SoA fleet kernel in `raven_dynamics::batch` /
+//! * the estimator+detector kernel at M ∈ {1, 8, 64, 256} sessions, run
+//!   as M per-session `DynamicDetector`s (each a one-lane `BatchDetector`
+//!   plus scalar mitigation; the `scalar_*` column) against one M-lane
+//!   `BatchDetector` (the SoA fleet kernel in `raven_dynamics::batch` /
 //!   `raven_detect::batch`), published as `BENCH_kernels.json` at the
 //!   workspace root.
 //!
@@ -134,10 +136,12 @@ criterion_group!(
 );
 
 // ---------------------------------------------------------------------------
-// Scalar vs batched estimator+detector kernel at fleet widths.
+// Per-session detectors vs one M-lane batch at fleet widths.
 
-/// One (M, scalar, batch) comparison point. Costs are median wall-clock
-/// nanoseconds per session-cycle (sync + assess, lookahead included).
+/// One (M, scalar, batch) comparison point: `scalar` is M one-lane
+/// `DynamicDetector`s, `batch` is one M-lane `BatchDetector`. Costs are
+/// median wall-clock nanoseconds per session-cycle (sync + assess,
+/// lookahead included).
 #[derive(Serialize)]
 struct ScalingPoint {
     sessions: usize,
@@ -222,7 +226,7 @@ fn bench_batch_scaling() {
     let widths = [1usize, 8, 64, 256];
     let lookahead = DetectorConfig::default().lookahead_steps;
 
-    println!("\n== estimator+detector kernel: scalar vs batched (SoA) ==");
+    println!("\n== estimator+detector kernel: M one-lane DynamicDetectors vs one M-lane batch ==");
     println!(
         "{:>8} {:>22} {:>22} {:>9}",
         "sessions", "scalar ns/session", "batch ns/session", "speedup"
@@ -277,8 +281,8 @@ fn bench_batch_scaling() {
         });
     }
 
-    // The tentpole's gate: amortizing M sessions over one SoA kernel must
-    // beat the single-session scalar path per session-cycle.
+    // The gate: amortizing M sessions over one SoA kernel must beat one
+    // one-lane DynamicDetector per session-cycle.
     let scalar_m1 = points[0].scalar_ns_per_session;
     let batch_m64 = points.iter().find(|p| p.sessions == 64).expect("M=64 point");
     assert!(
@@ -295,7 +299,9 @@ fn bench_batch_scaling() {
         lookahead_steps: lookahead,
         points,
         note: "per-session-cycle cost of measurement sync + armed assessment (lookahead \
-               rollout included); batch lanes share one SoA integrator dispatch"
+               rollout included); scalar = one DynamicDetector per session (a one-lane \
+               BatchDetector plus mitigation), batch = one M-lane BatchDetector sharing one \
+               SoA integrator dispatch"
             .to_string(),
     };
     // Workspace root ONLY: results/ holds the manifest-pinned deterministic

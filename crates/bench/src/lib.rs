@@ -34,28 +34,16 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     println!("\n[saved {}]", path.display());
 }
 
-/// Persists a [`simbus::StageProfiler`] report as a **non-deterministic
-/// sidecar** at `results/profile_<name>.json`.
-///
-/// Wall-clock stage timings vary run to run, so these files are gitignored
-/// and must never be byte-compared or folded into the deterministic
-/// experiment records written by [`save_json`] (lint rule R1 allowlists the
-/// profiler exactly because its output stays out of those artifacts).
-///
-/// # Panics
-///
-/// Panics if the results directory cannot be created or the file cannot be
-/// written.
-pub fn save_profile(name: &str, profiler: &simbus::StageProfiler) {
-    save_profile_stats(name, &profiler.report());
-}
-
 /// Persists any `Vec<StageStats>`-shaped timing report as a
 /// **non-deterministic sidecar** at `results/profile_<name>.json` — the
-/// one profile schema shared by the stage profiler, the span layer
-/// (`SpanHandle::stage_stats`), and the sweep-trace collector
-/// (`SweepTraceCollector::stage_stats`), so every producer and the
-/// `raven-sim --profile-json` flag write interchangeable files.
+/// one profile schema shared by the span layer (`SpanHandle::stage_stats`)
+/// and the sweep-trace collector (`SweepTraceCollector::stage_stats`), so
+/// every producer and the `raven-sim --profile-json` flag write
+/// interchangeable files.
+///
+/// Wall-clock timings vary run to run, so these files are gitignored and
+/// must never be byte-compared or folded into the deterministic experiment
+/// records written by [`save_json`].
 ///
 /// # Panics
 ///
@@ -89,10 +77,15 @@ mod tests {
 
     #[test]
     fn save_profile_writes_sidecar() {
-        let mut p = simbus::StageProfiler::new();
-        p.record_ns("stage_a", 1_000);
-        p.record_ns("stage_a", 3_000);
-        save_profile("_selftest", &p);
+        let stats = [simbus::StageStats {
+            name: "stage_a".into(),
+            count: 2,
+            mean_us: 2.0,
+            min_us: 1.0,
+            max_us: 3.0,
+            p99_us: 3.0,
+        }];
+        save_profile_stats("_selftest", &stats);
         let path = results_dir().join("profile__selftest.json");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("stage_a"));

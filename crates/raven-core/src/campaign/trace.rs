@@ -14,10 +14,10 @@
 //!   merge-stall summary (`raven-sim profile`).
 //!
 //! All timestamps are wall-clock nanoseconds against the collector's
-//! epoch: like `StageProfiler`, this is sidecar-only telemetry and must
-//! never be folded into a serialized artifact. The default executor path
-//! (`trace: None`) takes no timestamps at all, so golden artifacts stay
-//! byte-identical.
+//! epoch: like the span layer's wall durations, this is sidecar-only
+//! telemetry and must never be folded into a serialized artifact. The
+//! default executor path (`trace: None`) takes no timestamps at all, so
+//! golden artifacts stay byte-identical.
 
 use std::time::Instant;
 
@@ -197,10 +197,9 @@ impl SweepTraceCollector {
     }
 
     /// One [`StageStats`] row per recorded segment over its run durations
-    /// (`exec/<label>`), in the `bench::save_profile` sidecar schema —
-    /// the same shape the span layer's `SpanHandle::stage_stats` and the
-    /// stage profiler report, so all three feed one `--profile-json` file
-    /// format.
+    /// (`exec/<label>`), in the `bench::save_profile_stats` sidecar
+    /// schema — the same shape the span layer's `SpanHandle::stage_stats`
+    /// reports, so both feed one `--profile-json` file format.
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.segments()
             .iter()

@@ -103,14 +103,6 @@ impl Method {
         }
     }
 
-    /// Number of derivative evaluations per step.
-    pub fn evals_per_step(self) -> usize {
-        match self {
-            Method::Euler => 1,
-            Method::Rk4 => 4,
-        }
-    }
-
     /// All supported methods, in paper order (RK4 first, as in Fig. 8).
     pub fn all() -> [Method; 2] {
         [Method::Rk4, Method::Euler]
@@ -291,8 +283,6 @@ mod tests {
         let f = |s: &[f64; 2], _t: f64| [s[1], -s[0] - 0.1 * s[1]];
         assert_eq!(Method::Euler.step(&s, 0.0, 1e-3, &f), Euler.step(&s, 0.0, 1e-3, &f));
         assert_eq!(Method::Rk4.step(&s, 0.0, 1e-3, &f), Rk4.step(&s, 0.0, 1e-3, &f));
-        assert_eq!(Method::Euler.evals_per_step(), 1);
-        assert_eq!(Method::Rk4.evals_per_step(), 4);
     }
 
     /// A two-dim damped oscillator flattened over `lanes` lanes in

@@ -1,14 +1,14 @@
 //! Hierarchical span tracing: a balanced span tree per run.
 //!
-//! [`StageProfiler`](crate::obs::StageProfiler) answers "how long does each
-//! pipeline stage take, on average" — a flat table. This module answers
+//! This module is the workspace's one wall-clock timing source. It answers
 //! "where did *this* run's cycles go": every instrumented region opens a
 //! [`SpanGuard`] on a shared [`SpanRecorder`], producing a tree of
 //! [`SpanRecord`]s (cycle → stage → codec/verdict nests) that exports to
-//! Chrome Trace Event JSON for Perfetto and to the same
-//! [`StageStats`] sidecar schema the profiler feeds.
+//! Chrome Trace Event JSON for Perfetto and, per span path, to the
+//! [`StageStats`] sidecar schema (`results/profile_*.json`) — the flat
+//! "how long does each pipeline stage take" table.
 //!
-//! The determinism contract mirrors the profiler's:
+//! The determinism contract:
 //!
 //! * **Span boundaries are virtual-time** (`vt_begin`/`vt_end` in
 //!   [`SimTime`]), so the tree *shape* and its virtual timeline are
@@ -239,8 +239,8 @@ pub struct SpanPathStats {
 }
 
 impl SpanPathStats {
-    /// Projects onto the profiler's sidecar schema (`results/profile_*.
-    /// json`), keyed by the span path.
+    /// Projects onto the sidecar schema (`results/profile_*.json`), keyed
+    /// by the span path.
     pub fn to_stage_stats(&self) -> StageStats {
         StageStats {
             name: self.path.clone(),
@@ -382,8 +382,8 @@ impl SpanHandle {
             .collect()
     }
 
-    /// Projects [`path_stats`](SpanHandle::path_stats) onto the profiler
-    /// sidecar schema.
+    /// Projects [`path_stats`](SpanHandle::path_stats) onto the
+    /// `results/profile_*.json` sidecar schema.
     pub fn stage_stats(&self) -> Vec<StageStats> {
         self.path_stats().iter().map(SpanPathStats::to_stage_stats).collect()
     }

@@ -26,7 +26,7 @@
 //!   for single-run commands, the per-worker `queued → running → merged`
 //!   sweep timeline for sweep commands;
 //! * `--profile-json <path>` — write span/sweep timing statistics in the
-//!   `bench::save_profile` sidecar schema (`Vec<StageStats>`);
+//!   `bench::save_profile_stats` sidecar schema (`Vec<StageStats>`);
 //! * `--incident-dir <dir>` — when a single-run command trips the flight
 //!   recorder (fault, detector alarm, or E-STOP), write the incident
 //!   report (event ring + last 250 ms of every trace signal) as JSON
@@ -37,12 +37,13 @@
 //!   nearest-rank p50/p99 per span path plus a worker-utilization
 //!   summary (busy%, merge stall);
 //! * `RAVEN_LOG=<debug|info|warn|error|off>` — stderr log threshold
-//!   (the CLI defaults to `info`; library callers default to `warn`).
+//!   (the CLI defaults to `info`; library callers default to `warn`); at
+//!   `debug` a single-run command also prints its span-path table.
 //!
 //! Tracing is opt-in and wall-clock output is sidecar-only: without
-//! `--trace-out`/`--profile-json` no timestamps are taken, and the
-//! deterministic artifacts (`--metrics-json`, experiment records) are
-//! byte-identical either way.
+//! `--trace-out`/`--profile-json`/`RAVEN_LOG=debug` no timestamps are
+//! taken, and the deterministic artifacts (`--metrics-json`, experiment
+//! records) are byte-identical either way.
 
 #![forbid(unsafe_code)]
 
@@ -57,7 +58,7 @@ use raven_core::{
 };
 use raven_detect::{DetectorConfig, Mitigation};
 use simbus::obs::{log, registry_template, Metrics, Severity};
-use simbus::ChromeTraceBuilder;
+use simbus::{ChromeTraceBuilder, SpanPathStats};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -142,7 +143,7 @@ struct RunOpts {
 impl RunOpts {
     /// Whether any consumer needs the span recorder turned on.
     fn wants_tracing(&self) -> bool {
-        self.trace_out.is_some() || self.profile_json.is_some()
+        self.trace_out.is_some() || self.profile_json.is_some() || log::enabled(Severity::Debug)
     }
 }
 
@@ -207,7 +208,7 @@ fn dump_metrics(path: Option<&PathBuf>, metrics: &Metrics) {
 
 /// Flushes a single run's observability artifacts: metrics JSON, incident
 /// report (if the flight recorder tripped), and — at `RAVEN_LOG=debug` —
-/// the per-stage wall-clock profile.
+/// the span-path wall-clock table.
 ///
 /// Metrics are dumped *before* the incident sink runs: the sink's
 /// ledger bookkeeping must never leak into the run's deterministic
@@ -258,8 +259,22 @@ fn flush_run_artifacts(sim: &Simulation, opts: &RunOpts) {
         }
     }
     if log::enabled(Severity::Debug) {
-        eprint!("{}", sim.profiler().render());
+        eprint!("{}", render_span_paths(&sim.spans().path_stats()));
     }
+}
+
+/// The per-span-path wall-clock table (count, nearest-rank p50/p99) that
+/// `raven-sim profile` and the `RAVEN_LOG=debug` print share.
+fn render_span_paths(stats: &[SpanPathStats]) -> String {
+    let mut out =
+        format!("  {:<52} {:>7} {:>10} {:>10}\n", "path", "count", "p50 (us)", "p99 (us)");
+    for s in stats {
+        out.push_str(&format!(
+            "  {:<52} {:>7} {:>10.1} {:>10.1}\n",
+            s.path, s.count, s.p50_us, s.p99_us
+        ));
+    }
+    out
 }
 
 /// Flushes a sweep's trace artifacts from the collector installed by
@@ -718,10 +733,7 @@ fn run_profile_command(args: &[String]) {
     sim.run_session();
     sim.spans().finish();
     println!("span paths (representative guarded session, seed {}):", opts.seed);
-    println!("  {:<52} {:>7} {:>10} {:>10}", "path", "count", "p50 (us)", "p99 (us)");
-    for s in sim.spans().path_stats() {
-        println!("  {:<52} {:>7} {:>10.1} {:>10.1}", s.path, s.count, s.p50_us, s.p99_us);
-    }
+    print!("{}", render_span_paths(&sim.spans().path_stats()));
     println!();
     print!("{}", collector.render());
     flush_sweep_trace(&opts);
