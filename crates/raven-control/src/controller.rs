@@ -408,11 +408,6 @@ impl RavenController {
             .check_cycle(&out.desired_joints, &out.desired_motors, mpos, dac)
             .map_err(|v| v.fault_reason())
     }
-
-    /// Total software safety violations latched so far.
-    pub fn safety_violations(&self) -> u64 {
-        self.safety.violations()
-    }
 }
 
 #[cfg(test)]

@@ -72,19 +72,11 @@ impl CampaignResult {
 }
 
 /// Executes a campaign with the detector in shadow mode (thresholds
-/// supplied by the caller, typically from `training::train_thresholds`),
-/// using the default executor (all cores; see [`ExecutorConfig`]).
-pub fn run_campaign(
-    config: &CampaignConfig,
-    thresholds: DetectionThresholds,
-    session_ms: u64,
-) -> CampaignResult {
-    run_campaign_with(config, thresholds, session_ms, &ExecutorConfig::default())
-}
-
-/// [`run_campaign`] with explicit executor control. Output is bit-identical
-/// for any worker count: runs are keyed by the deterministic
-/// [`raven_attack::CampaignPlan`] and merged in plan order.
+/// supplied by the caller, typically from
+/// [`train_thresholds_with`](crate::training::train_thresholds_with)) on
+/// the given executor. Output is bit-identical for any worker count: runs
+/// are keyed by the deterministic [`raven_attack::CampaignPlan`] and
+/// merged in plan order.
 pub fn run_campaign_with(
     config: &CampaignConfig,
     thresholds: DetectionThresholds,
@@ -146,18 +138,21 @@ pub fn run_campaign_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::training::{train_thresholds, TrainingConfig};
+    use crate::training::{train_thresholds_with, TrainingConfig};
 
     #[test]
     fn campaign_runner_executes_every_cell() {
-        let thresholds =
-            train_thresholds(&TrainingConfig { runs: 6, ..TrainingConfig::quick(71) }).thresholds;
+        let thresholds = train_thresholds_with(
+            &TrainingConfig { runs: 6, ..TrainingConfig::quick(71) },
+            &ExecutorConfig::default(),
+        )
+        .thresholds;
         let config = CampaignConfig {
             specs: vec![InjectionSpec::torque(30_000, 256), InjectionSpec::torque(2_000, 4)],
             repetitions: 2,
             seed: 71,
         };
-        let result = run_campaign(&config, thresholds, 2_200);
+        let result = run_campaign_with(&config, thresholds, 2_200, &ExecutorConfig::default());
         assert_eq!(result.summary.runs, 4);
         assert_eq!(result.runs.len(), 4);
         // The strong, long spec hurts; the weak, short one does not.

@@ -20,7 +20,7 @@ use simbus::ChaosConfig;
 
 use crate::campaign::executor::{run_sweep, ExecutorConfig};
 use crate::sim::{DetectorSetup, SimConfig, Simulation, Workload};
-use crate::training::{train_thresholds, TrainingConfig};
+use crate::training::{train_thresholds_with, TrainingConfig};
 use raven_detect::{DetectorConfig, Mitigation};
 
 /// Sizing of the chaos study.
@@ -145,7 +145,8 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
     // Reduced training leaves the extreme percentiles noisy; a 25 % margin
     // keeps the chaos-off baseline quiet so the rows isolate what the
     // *faults* cost rather than threshold-training variance.
-    let thresholds = train_thresholds(&config.training).thresholds.scaled(1.25);
+    let thresholds =
+        train_thresholds_with(&config.training, &ExecutorConfig::default()).thresholds.scaled(1.25);
     let presets = chaos_presets();
     let runs = config.runs_per_preset as usize;
     let total = presets.len() * runs;

@@ -28,7 +28,7 @@ pub use campaign::executor::{
     SweepStats, WORKERS_ENV,
 };
 pub use campaign::trace::{RunLifecycle, SegmentUtilization, SweepSegment, SweepTraceCollector};
-pub use campaign::{run_campaign, run_campaign_with, CampaignResult, CampaignRun, CampaignSummary};
+pub use campaign::{run_campaign_with, CampaignResult, CampaignRun, CampaignSummary};
 pub use dual::{Arm, DualArmSession, DualOutcome};
 pub use forensics::{
     incident_file_name, manifest_candidates, AppendReceipt, IncidentSink, MANIFEST_REL_PATH,

@@ -55,20 +55,12 @@ pub struct TrainingReport {
     pub runs: u32,
 }
 
-/// Runs the fault-free protocol and learns detection thresholds.
+/// Runs the fault-free protocol on the given executor and learns
+/// detection thresholds.
 ///
 /// Runs alternate between the two training workloads (circle scan and
 /// suturing loops), each with a distinct derived seed, with the detector in
 /// learning mode observing every Pedal-Down command.
-///
-/// # Panics
-///
-/// Panics if `config.runs` is zero or a clean training run fails to boot.
-pub fn train_thresholds(config: &TrainingConfig) -> TrainingReport {
-    train_thresholds_with(config, &ExecutorConfig::default())
-}
-
-/// [`train_thresholds`] with explicit executor control.
 ///
 /// Each run owns its simulation and returns its run-local
 /// [`ThresholdLearner`]; the master learner merges them **in run order**,
@@ -131,7 +123,10 @@ mod tests {
 
     #[test]
     fn quick_training_produces_sane_thresholds() {
-        let report = train_thresholds(&TrainingConfig { runs: 4, ..TrainingConfig::quick(2) });
+        let report = train_thresholds_with(
+            &TrainingConfig { runs: 4, ..TrainingConfig::quick(2) },
+            &ExecutorConfig::default(),
+        );
         assert_eq!(report.runs, 4);
         assert!(report.samples > 1_000, "too few samples: {}", report.samples);
         let t = report.thresholds;
@@ -146,8 +141,8 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let cfg = TrainingConfig { runs: 2, session_ms: 1_500, ..TrainingConfig::quick(7) };
-        let a = train_thresholds(&cfg);
-        let b = train_thresholds(&cfg);
+        let a = train_thresholds_with(&cfg, &ExecutorConfig::default());
+        let b = train_thresholds_with(&cfg, &ExecutorConfig::default());
         assert_eq!(a.thresholds, b.thresholds);
         assert_eq!(a.samples, b.samples);
     }
@@ -155,6 +150,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one run")]
     fn zero_runs_panics() {
-        let _ = train_thresholds(&TrainingConfig { runs: 0, ..TrainingConfig::quick(1) });
+        let _ = train_thresholds_with(
+            &TrainingConfig { runs: 0, ..TrainingConfig::quick(1) },
+            &ExecutorConfig::default(),
+        );
     }
 }

@@ -2,8 +2,8 @@
 //! and metrics, and the flight recorder's incident capture on a scenario-A
 //! attack (the ISSUE's acceptance protocol).
 
-use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{AttackSetup, DetectorSetup, SimConfig, Simulation};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
+use raven_core::{AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation};
 use raven_detect::{DetectorConfig, Mitigation};
 use simbus::SimTime;
 
@@ -11,8 +11,11 @@ use simbus::SimTime;
 /// mitigation policy, and trace recording on (the flight recorder needs
 /// signal history to fill the incident window).
 fn guarded_sim(seed: u64, mitigation: Mitigation, attack: &AttackSetup) -> Simulation {
-    let thresholds =
-        train_thresholds(&TrainingConfig { runs: 16, ..TrainingConfig::quick(19) }).thresholds;
+    let thresholds = train_thresholds_with(
+        &TrainingConfig { runs: 16, ..TrainingConfig::quick(19) },
+        &ExecutorConfig::default(),
+    )
+    .thresholds;
     let mut sim = Simulation::new(SimConfig {
         session_ms: 4_000,
         record_cycles: true,

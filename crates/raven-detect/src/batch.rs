@@ -29,6 +29,7 @@ use raven_math::Vec3;
 
 use crate::detector::{Assessment, DetectorConfig, DetectorMode, FusionRule, Mitigation};
 use crate::features::InstantFeatures;
+use crate::mutants::DetectorMutation;
 use crate::thresholds::DetectionThresholds;
 
 /// A lane's mode: armed *means* having thresholds, so the armed
@@ -127,9 +128,9 @@ pub struct BatchDetector {
     /// Reused per-call engagement mask: lanes with a command *and* a
     /// synced measurement this cycle.
     engaged: Vec<bool>,
-    /// Installed kill-suite mutant, if any (`None` ⇒ production behavior).
-    #[cfg(feature = "mutant-hooks")]
-    mutation: Option<crate::mutants::DetectorMutation>,
+    /// Installed kill-suite mutant, if any (`None` ⇒ production
+    /// behavior). Only the `mutant-hooks` setter writes it.
+    mutation: Option<DetectorMutation>,
 }
 
 impl BatchDetector {
@@ -170,7 +171,6 @@ impl BatchDetector {
             ee_now: vec![Vec3::default(); m],
             verdicts: vec![None; m],
             engaged: vec![false; m],
-            #[cfg(feature = "mutant-hooks")]
             mutation: None,
         }
     }
@@ -178,14 +178,21 @@ impl BatchDetector {
     /// Installs (or clears) a kill-suite mutant on every lane. Test-only:
     /// exists solely for the `raven-verify` mutation kill-suite.
     #[cfg(feature = "mutant-hooks")]
-    pub fn set_mutation(&mut self, mutation: Option<crate::mutants::DetectorMutation>) {
+    pub fn set_mutation(&mut self, mutation: Option<DetectorMutation>) {
         self.mutation = mutation;
     }
 
     /// The installed kill-suite mutant, if any.
     #[cfg(feature = "mutant-hooks")]
-    pub fn mutation(&self) -> Option<crate::mutants::DetectorMutation> {
+    pub fn mutation(&self) -> Option<DetectorMutation> {
         self.mutation
+    }
+
+    /// `true` when kill-suite mutant `m` is installed. Without the
+    /// `mutant-hooks` feature this is the constant `false`, so every
+    /// decision that asks compiles to its production expression.
+    pub(crate) fn mutated(&self, m: DetectorMutation) -> bool {
+        cfg!(feature = "mutant-hooks") && self.mutation == Some(m)
     }
 
     /// Number of sessions in the batch.
@@ -402,10 +409,18 @@ impl BatchDetector {
             self.verdicts[l] = Some(assessment);
             self.lanes[l].assessments += 1;
             if assessment.alarm() {
-                self.count_alarm(l);
-                let first = self.first_alarm_index(l);
+                if !self.mutated(DetectorMutation::AlarmCounterStuck) {
+                    self.lanes[l].alarms += 1;
+                }
+                let first = if self.mutated(DetectorMutation::FirstAlarmOffByOne) {
+                    self.lanes[l].assessments + 1
+                } else {
+                    self.lanes[l].assessments
+                };
                 self.lanes[l].first_alarm_assessment.get_or_insert(first);
-                if self.config.mitigation == Mitigation::EStop && self.estop_request_enabled() {
+                if self.config.mitigation == Mitigation::EStop
+                    && !self.mutated(DetectorMutation::EstopRequestDropped)
+                {
                     self.lanes[l].estop_requested = true;
                 }
             }
@@ -433,107 +448,48 @@ impl BatchDetector {
         self.lanes[lane].estop_requested
     }
 
-    // ---- kill-suite hook points -------------------------------------
-    //
-    // Each lane decision the mutation kill-suite needs to sabotage routes
-    // through one of these `cfg`-paired helpers. The `not(mutant-hooks)`
-    // versions are the production logic, verbatim; the `mutant-hooks`
-    // versions reproduce it exactly when `self.mutation` is `None` and
-    // apply the seeded defect otherwise. See `crate::mutants`.
-
     /// Fused threshold-exceedance decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn threshold_alarm_for(
         &self,
         thresholds: &DetectionThresholds,
         features: &InstantFeatures,
     ) -> bool {
+        if self.mutated(DetectorMutation::ThresholdsIgnored) {
+            return false;
+        }
+        if self.mutated(DetectorMutation::FusionBecomesAnyOne) {
+            return thresholds.any_alarm(features);
+        }
+        if self.mutated(DetectorMutation::FusionDropsJointVel) {
+            return (0..NUM_AXES).any(|i| {
+                features.motor_accel[i] > thresholds.motor_accel[i]
+                    && features.motor_vel[i] > thresholds.motor_vel[i]
+            });
+        }
+        let swapped;
+        let features = if self.mutated(DetectorMutation::SwappedVelAccel) {
+            let mut f = *features;
+            std::mem::swap(&mut f.motor_accel, &mut f.motor_vel);
+            swapped = f;
+            &swapped
+        } else {
+            features
+        };
         match self.config.fusion {
             FusionRule::AllThree => thresholds.fused_alarm(features),
             FusionRule::AnyOne => thresholds.any_alarm(features),
         }
     }
 
-    #[cfg(feature = "mutant-hooks")]
-    fn threshold_alarm_for(
-        &self,
-        thresholds: &DetectionThresholds,
-        features: &InstantFeatures,
-    ) -> bool {
-        use crate::mutants::DetectorMutation as M;
-        let mut f = *features;
-        match self.mutation {
-            Some(M::ThresholdsIgnored) => return false,
-            Some(M::FusionBecomesAnyOne) => return thresholds.any_alarm(&f),
-            Some(M::FusionDropsJointVel) => {
-                return (0..NUM_AXES).any(|i| {
-                    f.motor_accel[i] > thresholds.motor_accel[i]
-                        && f.motor_vel[i] > thresholds.motor_vel[i]
-                });
-            }
-            Some(M::SwappedVelAccel) => std::mem::swap(&mut f.motor_accel, &mut f.motor_vel),
-            _ => {}
-        }
-        match self.config.fusion {
-            FusionRule::AllThree => thresholds.fused_alarm(&f),
-            FusionRule::AnyOne => thresholds.any_alarm(&f),
-        }
-    }
-
     /// Hard end-effector step-limit decision for one assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
     fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
+        if self.mutated(DetectorMutation::EeCheckDisabled) {
+            return false;
+        }
+        if self.mutated(DetectorMutation::EeLimitTenfold) {
+            return features.ee_step > 10.0 * self.config.ee_step_limit;
+        }
         features.ee_step > self.config.ee_step_limit
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn ee_alarm_for(&self, features: &InstantFeatures) -> bool {
-        use crate::mutants::DetectorMutation as M;
-        match self.mutation {
-            Some(M::EeCheckDisabled) => false,
-            Some(M::EeLimitTenfold) => features.ee_step > 10.0 * self.config.ee_step_limit,
-            _ => features.ee_step > self.config.ee_step_limit,
-        }
-    }
-
-    /// Bumps the lane's alarm counter on an alarming assessment.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn count_alarm(&mut self, lane: usize) {
-        self.lanes[lane].alarms += 1;
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn count_alarm(&mut self, lane: usize) {
-        if self.mutation != Some(crate::mutants::DetectorMutation::AlarmCounterStuck) {
-            self.lanes[lane].alarms += 1;
-        }
-    }
-
-    /// The 1-based assessment index recorded for the lane's first alarm.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn first_alarm_index(&self, lane: usize) -> u64 {
-        self.lanes[lane].assessments
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn first_alarm_index(&self, lane: usize) -> u64 {
-        let assessments = self.lanes[lane].assessments;
-        if self.mutation == Some(crate::mutants::DetectorMutation::FirstAlarmOffByOne) {
-            assessments + 1
-        } else {
-            assessments
-        }
-    }
-
-    /// Whether the E-STOP mitigation is allowed to request the stop.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn estop_request_enabled(&self) -> bool {
-        true
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn estop_request_enabled(&self) -> bool {
-        self.mutation != Some(crate::mutants::DetectorMutation::EstopRequestDropped)
     }
 }
 

@@ -22,6 +22,7 @@ use simbus::{SpanGuard, SpanHandle};
 
 use crate::batch::BatchDetector;
 use crate::features::InstantFeatures;
+use crate::mutants::DetectorMutation;
 use crate::thresholds::{DetectionThresholds, ThresholdLearner};
 
 /// What to do when a command is judged unsafe (paper §IV.C: "either
@@ -205,13 +206,13 @@ impl DynamicDetector {
     /// Installs (or clears) a kill-suite mutant. Test-only: exists solely
     /// for the `raven-verify` mutation kill-suite.
     #[cfg(feature = "mutant-hooks")]
-    pub fn set_mutation(&mut self, mutation: Option<crate::mutants::DetectorMutation>) {
+    pub fn set_mutation(&mut self, mutation: Option<DetectorMutation>) {
         self.batch.set_mutation(mutation);
     }
 
     /// The installed kill-suite mutant, if any.
     #[cfg(feature = "mutant-hooks")]
-    pub fn mutation(&self) -> Option<crate::mutants::DetectorMutation> {
+    pub fn mutation(&self) -> Option<DetectorMutation> {
         self.batch.mutation()
     }
 
@@ -346,61 +347,6 @@ impl DynamicDetector {
         }
         self.safe_history.push_back(dac);
     }
-
-    /// The oldest remembered safe command, if any.
-    fn held_safe(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        self.safe_history.front().copied()
-    }
-
-    // ---- kill-suite hook points -------------------------------------
-    //
-    // The mitigation decisions the mutation kill-suite sabotages route
-    // through these `cfg`-paired helpers (the lane decisions have theirs
-    // on `BatchDetector`). The `not(mutant-hooks)` versions are the
-    // production logic, verbatim; the `mutant-hooks` versions reproduce
-    // it exactly when no mutation is installed and apply the seeded
-    // defect otherwise. See `crate::mutants`.
-
-    /// Whether the guard's block/substitute path is active at all.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn block_path_enabled(&self) -> bool {
-        true
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn block_path_enabled(&self) -> bool {
-        self.mutation() != Some(crate::mutants::DetectorMutation::BlockPathDisabled)
-    }
-
-    /// Cooldown cycles loaded after an alarming block-and-hold cycle.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn cooldown_reload(&self) -> u32 {
-        self.config().hold_cooldown_cycles
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn cooldown_reload(&self) -> u32 {
-        if self.mutation() == Some(crate::mutants::DetectorMutation::CooldownIgnored) {
-            0
-        } else {
-            self.config().hold_cooldown_cycles
-        }
-    }
-
-    /// The remembered safe command that block-and-hold substitutes.
-    #[cfg(not(feature = "mutant-hooks"))]
-    fn substitution_source(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        self.held_safe()
-    }
-
-    #[cfg(feature = "mutant-hooks")]
-    fn substitution_source(&self) -> Option<[i16; raven_hw::DAC_CHANNELS]> {
-        if self.mutation() == Some(crate::mutants::DetectorMutation::HoldSubstitutesLatest) {
-            self.safe_history.back().copied()
-        } else {
-            self.held_safe()
-        }
-    }
 }
 
 /// A shareable handle to a detector.
@@ -463,7 +409,7 @@ impl WriteInterceptor for GuardInterceptor {
         }
         // "blocked" = the board does not receive the command verbatim
         // (dropped outright, or substituted with a safe hold).
-        let (action, blocked) = if !det.block_path_enabled() {
+        let (action, blocked) = if det.batch.mutated(DetectorMutation::BlockPathDisabled) {
             (WriteAction::Forward, false)
         } else {
             match det.config().mitigation {
@@ -478,14 +424,21 @@ impl WriteInterceptor for GuardInterceptor {
                     // an injection pass before velocity builds and would be
                     // replayed forever.
                     if assessment.alarm() {
-                        det.hold_cooldown = det.cooldown_reload();
+                        let ignored = det.batch.mutated(DetectorMutation::CooldownIgnored);
+                        det.hold_cooldown =
+                            if ignored { 0 } else { det.config().hold_cooldown_cycles };
                     } else {
                         det.hold_cooldown = det.hold_cooldown.saturating_sub(1);
                         if det.hold_cooldown == 0 {
                             det.close_mitigation_window();
                         }
                     }
-                    match det.substitution_source() {
+                    let held = if det.batch.mutated(DetectorMutation::HoldSubstitutesLatest) {
+                        det.safe_history.back()
+                    } else {
+                        det.safe_history.front()
+                    };
+                    match held.copied() {
                         None => (WriteAction::Drop, true),
                         Some(mut dac) => {
                             // Wrist channels are positional set-points, not

@@ -25,7 +25,6 @@
 pub mod batch;
 pub mod detector;
 pub mod features;
-#[cfg(feature = "mutant-hooks")]
 pub mod mutants;
 pub mod thresholds;
 
@@ -35,6 +34,5 @@ pub use detector::{
     GuardInterceptor, Mitigation, NoFaultFreeSamples, SharedDetector,
 };
 pub use features::InstantFeatures;
-#[cfg(feature = "mutant-hooks")]
 pub use mutants::DetectorMutation;
 pub use thresholds::{DetectionThresholds, ThresholdLearner};

@@ -1,29 +1,26 @@
 //! Deliberately-broken detector variants for the mutation kill-suite
 //! (`raven-verify`).
 //!
-//! Only compiled under the `mutant-hooks` cargo feature. Each
-//! [`DetectorMutation`] names one seeded defect in the detection or
+//! Each [`DetectorMutation`] names one seeded defect in the detection or
 //! mitigation path — an off-by-one, a dropped fusion term, a disabled
 //! block path — and the safety-oracle suite must *kill* every one of them
 //! (fail at least one oracle on at least one scenario). A mutant that
 //! survives means the oracles have a blind spot exactly where the defect
 //! lives.
 //!
-//! The hooks are wired through `cfg`-paired private helpers. The nine
-//! lane-side decisions (fusion, the end-effector limit, the alarm counter,
-//! the first-alarm index and the E-STOP request) sit on
+//! The enum is plain data and always compiled. Every decision is written
+//! once: it asks `BatchDetector::mutated` whether its mutant is installed
+//! and otherwise runs the production expression. The nine lane-side
+//! decisions (fusion, the end-effector limit, the alarm counter, the
+//! first-alarm index and the E-STOP request) sit on
 //! [`crate::BatchDetector`], the one assessment path the guard and the
-//! fleet monitor share, installed with `BatchDetector::set_mutation`
-//! (`DynamicDetector::set_mutation` forwards to its lane). The three
-//! mitigation decisions (block path, hold cooldown, substitution source)
-//! sit on [`crate::DynamicDetector`] and are read by
-//! [`crate::GuardInterceptor`]. With the feature off the helpers are
-//! trivial pass-throughs and the mutant code does not exist; with the
-//! feature on but no mutation installed (`set_mutation(None)`, the
-//! default) every helper returns the production value, so an unmutated
-//! `mutant-hooks` build behaves identically to a release build. That equivalence is what lets the kill-suite's control
-//! arm ("unmutated build passes every oracle") share a binary with the
-//! mutant arms.
+//! fleet monitor share; the three mitigation decisions (block path, hold
+//! cooldown, substitution source) sit in [`crate::GuardInterceptor`].
+//! Only the `mutant-hooks` cargo feature compiles the installers
+//! (`BatchDetector::set_mutation`, which `DynamicDetector::set_mutation`
+//! forwards to) and the mutant branches: without it `mutated` is the
+//! constant `false`, so a release build cannot install a mutant and runs
+//! exactly the code the kill-suite's unmutated control arm checks.
 
 use serde::{Deserialize, Serialize};
 

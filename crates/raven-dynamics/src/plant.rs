@@ -10,7 +10,7 @@
 //! (§III.B.3).
 
 use raven_kinematics::{JointState, MotorState, NUM_AXES, WRIST_AXES};
-use raven_math::ode::{Integrator, Rk4};
+use raven_math::ode::Method;
 use serde::{Deserialize, Serialize};
 
 use crate::params::PlantParams;
@@ -186,7 +186,6 @@ impl RavenPlant {
         assert!(dt.is_finite() && dt > 0.0, "invalid plant step dt = {dt}");
         let h = dt / f64::from(self.substeps);
         let torques = if self.brakes_engaged { [0.0; NUM_AXES] } else { *tau_m };
-        let rk4 = Rk4;
         for _ in 0..self.substeps {
             if self.brakes_engaged {
                 // Brakes clamp the motor shafts: hold mpos/mvel, let the
@@ -202,12 +201,12 @@ impl RavenPlant {
                     d[..6].fill(0.0);
                     d
                 };
-                self.state.x = rk4.step(&self.state.x, self.time, h, &deriv);
+                self.state.x = Method::Rk4.step(&self.state.x, self.time, h, &deriv);
                 self.state.x[..3].copy_from_slice(&frozen[..3]);
                 self.state.x[3..6].fill(0.0);
             } else {
                 let deriv = |x: &[f64; ODE_DIM], _t: f64| derivative(&self.params, x, &torques);
-                self.state.x = rk4.step(&self.state.x, self.time, h, &deriv);
+                self.state.x = Method::Rk4.step(&self.state.x, self.time, h, &deriv);
             }
             self.time += h;
         }

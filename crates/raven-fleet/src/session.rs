@@ -9,9 +9,10 @@
 
 use std::sync::OnceLock;
 
-use raven_core::training::{train_thresholds, TrainingConfig};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{
-    AttackSetup, DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation,
+    AttackSetup, DetectorSetup, ExecutorConfig, IncidentReport, SessionOutcome, SimConfig,
+    Simulation,
 };
 use raven_detect::{DetectionThresholds, DetectorConfig, Mitigation};
 use serde::Serialize;
@@ -129,9 +130,12 @@ fn armed_setup(mitigation: Mitigation) -> DetectorSetup {
 pub fn fleet_thresholds() -> DetectionThresholds {
     static THRESHOLDS: OnceLock<DetectionThresholds> = OnceLock::new();
     *THRESHOLDS.get_or_init(|| {
-        train_thresholds(&TrainingConfig { runs: 8, ..TrainingConfig::quick(7) })
-            .thresholds
-            .scaled(1.25)
+        train_thresholds_with(
+            &TrainingConfig { runs: 8, ..TrainingConfig::quick(7) },
+            &ExecutorConfig::default(),
+        )
+        .thresholds
+        .scaled(1.25)
     })
 }
 

@@ -96,16 +96,6 @@ impl CouplingMatrix {
     pub fn joint_torque_to_motor_torque(&self, tau_j: [f64; NUM_AXES]) -> [f64; NUM_AXES] {
         (self.inverse.transpose() * Vec3::from(tau_j)).to_array()
     }
-
-    /// The forward matrix (`mpos = F · jpos`).
-    pub fn forward_matrix(&self) -> &Mat3 {
-        &self.forward
-    }
-
-    /// The inverse matrix (`jpos = F⁻¹ · mpos`).
-    pub fn inverse_matrix(&self) -> &Mat3 {
-        &self.inverse
-    }
 }
 
 impl Default for CouplingMatrix {

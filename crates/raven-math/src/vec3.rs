@@ -73,12 +73,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (cheaper than [`Vec3::norm`]).
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, rhs: Vec3) -> f64 {

@@ -105,11 +105,6 @@ impl MasterConsole {
         self.wrist = wrist;
     }
 
-    /// The trajectory label, for experiment records.
-    pub fn trajectory_label(&self) -> &str {
-        self.trajectory.label()
-    }
-
     /// Emits the ITP packet for virtual time `now`. Call once per control
     /// period; the motion clock starts at the first pedal-down emission.
     pub fn emit(&mut self, now: SimTime) -> ItpPacket {

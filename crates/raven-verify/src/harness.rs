@@ -13,9 +13,10 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use raven_core::training::{train_thresholds, TrainingConfig};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{
-    AttackSetup, DetectorSetup, IncidentReport, SessionOutcome, SimConfig, Simulation, Workload,
+    AttackSetup, DetectorSetup, ExecutorConfig, IncidentReport, SessionOutcome, SimConfig,
+    Simulation, Workload,
 };
 use raven_detect::{DetectionThresholds, DetectorConfig, DetectorMutation, Mitigation};
 use serde::Serialize;
@@ -90,22 +91,6 @@ impl VerifySpec {
             name: "observe-attack",
             attack: hot_attack(),
             mitigation: Mitigation::Observe,
-            ..VerifySpec::clean(seed)
-        }
-    }
-
-    /// A slow torque ramp under block-and-hold — the scenario where the
-    /// cooldown window and oldest-safe substitution earn their keep.
-    pub fn hold_ramp(seed: u64) -> Self {
-        VerifySpec {
-            name: "hold-ramp",
-            attack: AttackSetup::ScenarioB {
-                dac_delta: 6_000,
-                channel: 0,
-                delay_packets: 400,
-                duration_packets: 1_024,
-            },
-            mitigation: Mitigation::BlockAndHold,
             ..VerifySpec::clean(seed)
         }
     }
@@ -287,8 +272,11 @@ pub fn run_mutated_chaos_session(
 pub fn suite_thresholds() -> DetectionThresholds {
     static THRESHOLDS: OnceLock<DetectionThresholds> = OnceLock::new();
     *THRESHOLDS.get_or_init(|| {
-        train_thresholds(&TrainingConfig { runs: 8, ..TrainingConfig::quick(7) })
-            .thresholds
-            .scaled(1.25)
+        train_thresholds_with(
+            &TrainingConfig { runs: 8, ..TrainingConfig::quick(7) },
+            &ExecutorConfig::default(),
+        )
+        .thresholds
+        .scaled(1.25)
     })
 }

@@ -25,10 +25,12 @@
 //!
 //! The oracle suite's teeth are proven by the **mutation kill-suite**
 //! (`tests/mutation_kill.rs`): `raven-detect` compiled with the
-//! `mutant-hooks` feature exposes [`raven_detect::DetectorMutation`] — a
-//! registry of deliberately-seeded defects — and every mutant must fail at
-//! least one oracle or probe, while the unmutated build passes all of them
-//! over the whole chaos matrix (`tests/chaos_matrix.rs`).
+//! `mutant-hooks` feature can install any [`raven_detect::DetectorMutation`]
+//! — a registry of deliberately-seeded defects — and every mutant must fail
+//! at least one oracle or probe, while the unmutated build passes all of
+//! them over the whole chaos matrix (`tests/chaos_matrix.rs`). Each
+//! detector decision is written once, so the unmutated build runs the
+//! production code itself, not a copy of it.
 
 #![forbid(unsafe_code)]
 

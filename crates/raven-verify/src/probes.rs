@@ -11,7 +11,8 @@
 //!
 //! The probes accept an optional [`DetectorMutation`] so the mutation
 //! kill-suite can prove each seeded defect flips at least one probe; with
-//! `None` they all pass against the production implementation.
+//! `None` they all pass against the production implementation — the same
+//! code a release build runs, since each decision has one definition.
 
 use std::sync::Arc;
 

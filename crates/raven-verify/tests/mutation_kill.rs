@@ -1,7 +1,8 @@
 //! The mutation kill-suite: proof the oracle/probe suite has teeth.
 //!
-//! `raven-detect` is compiled with the `mutant-hooks` feature, exposing
-//! twelve deliberately-seeded defects ([`DetectorMutation`]). The suite
+//! `raven-detect` is compiled with the `mutant-hooks` feature, which lets
+//! the suite install any of twelve deliberately-seeded defects
+//! ([`DetectorMutation`]). The suite
 //! must *kill* every one of them — each mutant fails at least one
 //! conformance probe or end-to-end oracle — while the unmutated build
 //! passes everything. A surviving mutant means the oracles have a blind

@@ -6,8 +6,8 @@
 //! cargo run --release --example guarded_teleop
 //! ```
 
-use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{AttackSetup, DetectorSetup, SimConfig, Simulation, Workload};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
+use raven_core::{AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation, Workload};
 use raven_detect::{DetectorConfig, Mitigation};
 
 fn attacked_session(mitigation: Mitigation, thresholds: raven_detect::DetectionThresholds) {
@@ -41,7 +41,10 @@ fn attacked_session(mitigation: Mitigation, thresholds: raven_detect::DetectionT
 
 fn main() {
     println!("training detection thresholds over fault-free runs (§IV.C) …");
-    let report = train_thresholds(&TrainingConfig { runs: 20, ..TrainingConfig::quick(3) });
+    let report = train_thresholds_with(
+        &TrainingConfig { runs: 20, ..TrainingConfig::quick(3) },
+        &ExecutorConfig::default(),
+    );
     println!(
         "learned from {} runs / {} cycles; e.g. motor-vel thresholds = {:.2?} rad/s",
         report.runs, report.samples, report.thresholds.motor_vel

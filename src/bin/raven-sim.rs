@@ -52,7 +52,7 @@ use raven_core::experiments::{
     run_lookahead_ablation_with, run_mitigation_ablation_with, run_table1, run_table2,
     run_table4_with, ChaosStudyConfig, Fig9Config, Table4Config,
 };
-use raven_core::training::{train_thresholds, train_thresholds_with, TrainingConfig};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{
     AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation, SweepTraceCollector,
 };
@@ -369,7 +369,10 @@ fn main() {
                 "raven-sim",
                 "training thresholds (reduced 20-run protocol) …",
             );
-            let report = train_thresholds(&TrainingConfig { runs: 20, ..TrainingConfig::quick(3) });
+            let report = train_thresholds_with(
+                &TrainingConfig { runs: 20, ..TrainingConfig::quick(3) },
+                &ExecutorConfig::default(),
+            );
             let mut sim = Simulation::new(SimConfig {
                 session_ms: 4_000,
                 record_cycles: opts.incident_dir.is_some(),

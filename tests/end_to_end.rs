@@ -1,12 +1,16 @@
 //! Cross-crate integration tests: the full system, attack and defense,
 //! spanning every crate in the workspace.
 
-use raven_core::training::{train_thresholds, TrainingConfig};
-use raven_core::{AttackSetup, DetectorSetup, SimConfig, Simulation, Workload};
+use raven_core::training::{train_thresholds_with, TrainingConfig};
+use raven_core::{AttackSetup, DetectorSetup, ExecutorConfig, SimConfig, Simulation, Workload};
 use raven_detect::{DetectorConfig, Mitigation};
 
 fn quick_thresholds(seed: u64) -> raven_detect::DetectionThresholds {
-    train_thresholds(&TrainingConfig { runs: 8, ..TrainingConfig::quick(seed) }).thresholds
+    train_thresholds_with(
+        &TrainingConfig { runs: 8, ..TrainingConfig::quick(seed) },
+        &ExecutorConfig::default(),
+    )
+    .thresholds
 }
 
 /// The paper's headline, end to end: the TOCTOU torque injection jumps the
