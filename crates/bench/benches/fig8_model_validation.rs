@@ -9,7 +9,7 @@ use raven_core::experiments::run_fig8;
 
 fn main() {
     let (runs, session_ms) = if bench::quick_mode() { (2, 2_000) } else { (10, 5_000) };
-    let result = run_fig8(42, runs, session_ms, 0.02);
+    let result = run_fig8(42, runs, session_ms);
     print!("{}", result.render());
     println!(
         "paper: RK4 0.032 ms/step, Euler 0.011 ms/step; jpos errors ~1–2% of motion. \

@@ -92,7 +92,6 @@ pub fn run_fusion_ablation_with(
                             fusion,
                             ..DetectorConfig::default()
                         },
-                        model_perturbation: 0.02,
                         thresholds: Some(thresholds),
                     }),
                     ..SimConfig::standard(run_seed)
@@ -188,7 +187,6 @@ pub fn run_mitigation_ablation_with(
                     session_ms: 2_500,
                     detector: Some(DetectorSetup {
                         config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-                        model_perturbation: 0.02,
                         thresholds: Some(thresholds),
                     }),
                     ..SimConfig::standard(run_seed)
@@ -385,7 +383,6 @@ pub fn run_lookahead_ablation_with(
                             lookahead_steps: horizon,
                             ..DetectorConfig::default()
                         },
-                        model_perturbation: 0.02,
                         thresholds: Some(thresholds),
                     }),
                     ..SimConfig::standard(run_seed)

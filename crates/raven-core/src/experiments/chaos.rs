@@ -172,7 +172,6 @@ pub fn run_chaos_study_with(config: &ChaosStudyConfig, exec: &ExecutorConfig) ->
                         mitigation: Mitigation::EStop,
                         ..DetectorConfig::default()
                     },
-                    model_perturbation: 0.02,
                     thresholds: Some(thresholds),
                 }),
                 ..SimConfig::standard(seed)

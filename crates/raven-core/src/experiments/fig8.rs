@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use raven_dynamics::estimator::RtModelConfig;
-use raven_dynamics::RtModel;
+use raven_dynamics::{RtModel, MODEL_MISMATCH};
 use raven_math::angles::rad_to_deg;
 use raven_math::ode::Method;
 use serde::{Deserialize, Serialize};
@@ -113,13 +113,13 @@ impl Fig8Result {
 
 /// Runs the Fig. 8 protocol: `runs` paired model/robot runs per integrator.
 ///
-/// `model_perturbation` reproduces the hand-tuned-model mismatch (0.02 is
-/// the repository default; 0.0 gives the idealized perfectly-known model).
+/// The model runs on plant parameters perturbed by [`MODEL_MISMATCH`],
+/// reproducing the hand-tuned-model mismatch.
 ///
 /// # Panics
 ///
 /// Panics if `runs` is zero.
-pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) -> Fig8Result {
+pub fn run_fig8(seed: u64, runs: u32, session_ms: u64) -> Fig8Result {
     assert!(runs > 0, "need at least one run");
     // Accumulators per method per joint: (sum |mpos err| deg, sum |jpos err|,
     // count), plus motion ranges for percentages and step timings.
@@ -151,7 +151,8 @@ pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) 
         if engaged.len() < 100 {
             continue;
         }
-        let model_params = sim_plant_params(&sim, run_seed, model_perturbation);
+        let model_params =
+            sim.rig_params().perturbed(derive_seed(run_seed, streams::FIG8_MODEL), MODEL_MISMATCH);
 
         for (mi, method) in methods.iter().enumerate() {
             let mut model = RtModel::with_config(
@@ -227,19 +228,6 @@ pub fn run_fig8(seed: u64, runs: u32, session_ms: u64, model_perturbation: f64) 
     Fig8Result { methods: rows, runs, steps: steps_total[0], overlay }
 }
 
-fn sim_plant_params(
-    sim: &Simulation,
-    run_seed: u64,
-    perturbation: f64,
-) -> raven_dynamics::PlantParams {
-    let plant = *sim.rig_params();
-    if perturbation > 0.0 {
-        plant.perturbed(derive_seed(run_seed, streams::FIG8_MODEL), perturbation)
-    } else {
-        plant
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +236,7 @@ mod tests {
     fn euler_is_faster_with_comparable_error() {
         // Reduced protocol for test speed; the bench runs the 10-run
         // paper-scale version.
-        let r = run_fig8(4, 2, 2_000, 0.02);
+        let r = run_fig8(4, 2, 2_000);
         assert_eq!(r.methods.len(), 2);
         let rk4 = r.row("Runge").expect("rk4 row");
         let euler = r.row("Euler").expect("euler row");
@@ -283,6 +271,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one run")]
     fn zero_runs_panics() {
-        let _ = run_fig8(1, 0, 100, 0.0);
+        let _ = run_fig8(1, 0, 100);
     }
 }

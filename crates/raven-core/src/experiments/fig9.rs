@@ -212,7 +212,6 @@ fn run_rep(
         session_ms: config.session_ms,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(seed)

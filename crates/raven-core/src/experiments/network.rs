@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 use simbus::obs::channels;
 use simbus::rng::derive_seed;
-use simbus::{LinkConfig, SimDuration};
+use simbus::{LinkConfig, SimDuration, SimTime};
 
 use crate::scenario::AttackSetup;
 use crate::sim::{SimConfig, Simulation, Workload};
@@ -114,15 +114,13 @@ fn run_condition(
     reference.boot();
     let _ = reference.run_session();
 
-    let a = sim.trace();
-    let b = reference.trace();
+    let a = sim.signals(SimTime::ZERO);
+    let b = reference.signals(SimTime::ZERO);
     let mut sum_sq = 0.0;
     let mut n = 0u64;
-    for (sa, sb) in a.samples(channels::EE_X_MM).iter().zip(b.samples(channels::EE_X_MM)) {
-        let dy = a.samples(channels::EE_Y_MM)[n as usize].value
-            - b.samples(channels::EE_Y_MM)[n as usize].value;
-        let dz = a.samples(channels::EE_Z_MM)[n as usize].value
-            - b.samples(channels::EE_Z_MM)[n as usize].value;
+    for (sa, sb) in a[channels::EE_X_MM].iter().zip(&b[channels::EE_X_MM]) {
+        let dy = a[channels::EE_Y_MM][n as usize].value - b[channels::EE_Y_MM][n as usize].value;
+        let dz = a[channels::EE_Z_MM][n as usize].value - b[channels::EE_Z_MM][n as usize].value;
         let dx = sa.value - sb.value;
         sum_sq += dx * dx + dy * dy + dz * dz;
         n += 1;

@@ -203,7 +203,6 @@ fn evaluate_run(
         session_ms,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(seed)

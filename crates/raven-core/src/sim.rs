@@ -6,12 +6,12 @@
 //! the physical system, advanced together on a 1 ms virtual clock. Every
 //! experiment in this reproduction is a configuration of this one loop.
 
+use std::collections::BTreeMap;
+
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
-use raven_control::{
-    ControllerConfig, CycleTelemetry, FaultReason, OperatorInput, RavenController,
-};
+use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
 use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor, SharedDetector};
-use raven_dynamics::{PlantParams, RtModel};
+use raven_dynamics::{PlantParams, RtModel, MODEL_MISMATCH};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
 use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState};
 use raven_kinematics::ArmConfig;
@@ -85,26 +85,14 @@ impl Workload {
     }
 }
 
-/// Detector wiring for a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Detector wiring for a run. The detector's model is the plant perturbed
+/// by [`MODEL_MISMATCH`] (the Fig. 8 model/robot mismatch).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectorSetup {
     /// Detector configuration (mitigation, percentile band, limits).
     pub config: DetectorConfig,
-    /// Relative perturbation of the model's physical parameters vs the
-    /// plant (the Fig. 8 model/robot mismatch). `0.0` = perfect model.
-    pub model_perturbation: f64,
     /// Pre-learned thresholds; `None` leaves the detector in learning mode.
     pub thresholds: Option<raven_detect::DetectionThresholds>,
-}
-
-impl Default for DetectorSetup {
-    fn default() -> Self {
-        DetectorSetup {
-            config: DetectorConfig::default(),
-            model_perturbation: 0.02,
-            thresholds: None,
-        }
-    }
 }
 
 /// When the operator presses the foot pedal.
@@ -124,9 +112,13 @@ pub enum PedalPattern {
     },
 }
 
-/// One recorded cycle for offline analysis (Fig. 8 model validation).
+/// One recorded cycle for offline analysis (Fig. 8 model validation) —
+/// the session's only per-cycle record. The flight-recorder signals are
+/// derived from it on read ([`Simulation::signals`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CycleRecord {
+    /// Virtual start time of the cycle.
+    pub time: SimTime,
     /// DAC words latched on the board this cycle (what executed).
     pub dac: [i16; 3],
     /// Ground-truth motor positions after the cycle.
@@ -218,6 +210,15 @@ pub struct SessionOutcome {
     pub injections: u64,
 }
 
+/// One sample of a named trace signal.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Sample {
+    /// Virtual timestamp (the recorded cycle's start time).
+    pub time: SimTime,
+    /// Signal value.
+    pub value: f64,
+}
+
 /// The flight recorder's black-box dump: captured when a run first faults,
 /// E-stops, or raises a detector alarm. Serializable to JSON (the
 /// `--incident-dir` artifact; schema in `docs/OBSERVABILITY.md`).
@@ -238,7 +239,7 @@ pub struct IncidentReport {
     pub events: Vec<Event>,
     /// Per-signal trace samples inside the window (requires
     /// `record_cycles`; empty otherwise).
-    pub signals: std::collections::BTreeMap<String, Vec<simbus::trace::Sample>>,
+    pub signals: BTreeMap<String, Vec<Sample>>,
 }
 
 /// Runtime state of an installed chaos schedule's link-level faults (the
@@ -273,8 +274,6 @@ pub struct Simulation {
     max_ee_step_1ms: f64,
     max_ee_step_2ms: f64,
     cycle_log: Vec<CycleRecord>,
-    trace: simbus::TraceRecorder,
-    telemetry_bus: simbus::Bus<CycleTelemetry>,
     observer: SharedObserver,
     spans: SpanHandle,
     incident: Option<IncidentReport>,
@@ -326,14 +325,9 @@ impl Simulation {
         }
 
         let detector = config.detector.as_ref().map(|setup| {
-            let model_params = if setup.model_perturbation > 0.0 {
-                config
-                    .plant
-                    .perturbed(derive_seed(config.seed, streams::MODEL), setup.model_perturbation)
-            } else {
-                config.plant
-            };
-            let model = RtModel::new(model_params);
+            let model = RtModel::new(
+                config.plant.perturbed(derive_seed(config.seed, streams::MODEL), MODEL_MISMATCH),
+            );
             let mut det = DynamicDetector::new(arm.clone(), model, setup.config);
             if let Some(thresholds) = setup.thresholds {
                 det.arm_with(thresholds);
@@ -382,8 +376,6 @@ impl Simulation {
             max_ee_step_1ms: 0.0,
             max_ee_step_2ms: 0.0,
             cycle_log: Vec::new(),
-            trace: simbus::TraceRecorder::new(),
-            telemetry_bus: simbus::Bus::new("raven/telemetry"),
             observer,
             spans: SpanHandle::default(),
             incident: None,
@@ -401,24 +393,41 @@ impl Simulation {
         }
     }
 
-    /// The ROS-style telemetry topic: the control software publishes its
-    /// [`CycleTelemetry`] every cycle, and any number of subscribers (the
-    /// paper's graphic simulator and dynamic model both "listen to the ROS
-    /// topic generating the robot state", §IV.A) can consume it.
-    pub fn telemetry_bus(&self) -> &simbus::Bus<CycleTelemetry> {
-        &self.telemetry_bus
-    }
-
-    /// Recorded time-series trace (populated when `record_cycles` is set):
-    /// ground-truth end-effector coordinates (`ee_{x,y,z}_mm`) and joint
-    /// positions (`jpos{1,2,3}`).
-    pub fn trace(&self) -> &simbus::TraceRecorder {
-        &self.trace
-    }
-
     /// Recorded cycles (empty unless `record_cycles` was set).
     pub fn cycle_log(&self) -> &[CycleRecord] {
         &self.cycle_log
+    }
+
+    /// The [`channels::ALL`] trace signals of every recorded cycle that
+    /// started at or after `from`: ground-truth end-effector coordinates
+    /// (`ee_{x,y,z}_mm`, forward kinematics of the joint state) and joint
+    /// positions (`jpos{1,2,3}`). Empty when no cycle was recorded.
+    pub fn signals(&self, from: SimTime) -> BTreeMap<String, Vec<Sample>> {
+        if self.cycle_log.is_empty() {
+            return BTreeMap::new();
+        }
+        let records = &self.cycle_log[self.cycle_log.partition_point(|r| r.time < from)..];
+        let arm = self.controller.chain().arm();
+        // One row per record, in `channels::ALL` order.
+        let rows: Vec<[f64; 6]> = records
+            .iter()
+            .map(|r| {
+                let ee = arm.forward(&r.state.joint_pos()).position * 1e3;
+                [ee.x, ee.y, ee.z, r.jpos[0], r.jpos[1], r.jpos[2]]
+            })
+            .collect();
+        channels::ALL
+            .iter()
+            .enumerate()
+            .map(|(c, name)| {
+                let series = records
+                    .iter()
+                    .zip(&rows)
+                    .map(|(r, row)| Sample { time: r.time, value: row[c] })
+                    .collect();
+                (name.to_string(), series)
+            })
+            .collect()
     }
 
     /// The shared observer (event ring + metrics) every instrumented
@@ -774,11 +783,6 @@ impl Simulation {
         let span_stage = self.spans.begin(spans::STAGE_CONTROLLER);
         let input = self.last_input;
         let cmd = self.controller.cycle(input.as_ref(), &feedback);
-        if self.telemetry_bus.subscriber_count() > 0 {
-            if let Some(t) = self.controller.telemetry() {
-                self.telemetry_bus.publish(*t);
-            }
-        }
         drop(span_stage);
         let span_stage = self.spans.begin(spans::STAGE_INTERCEPTORS);
         self.rig.deliver_command(&cmd, now);
@@ -805,21 +809,13 @@ impl Simulation {
         if self.config.record_cycles {
             let state = *self.rig.plant.state();
             self.cycle_log.push(CycleRecord {
+                time: now,
                 dac: self.rig.board.positioning_dac(),
                 mpos: state.motor_pos().to_array(),
                 jpos: state.joint_pos().to_array(),
                 state,
                 engaged: !self.rig.plant.brakes_engaged(),
             });
-            let arm = self.controller.chain().arm();
-            let ee = arm.forward(&state.joint_pos()).position;
-            let j = state.joint_pos().to_array();
-            self.trace.record(channels::EE_X_MM, now, ee.x * 1e3);
-            self.trace.record(channels::EE_Y_MM, now, ee.y * 1e3);
-            self.trace.record(channels::EE_Z_MM, now, ee.z * 1e3);
-            self.trace.record(channels::JPOS1, now, j[0]);
-            self.trace.record(channels::JPOS2, now, j[1]);
-            self.trace.record(channels::JPOS3, now, j[2]);
         }
         drop(span_stage);
 
@@ -1014,7 +1010,7 @@ impl Simulation {
                     seed: self.config.seed,
                     window_ms: Self::INCIDENT_WINDOW_MS,
                     events: obs.events.snapshot(),
-                    signals: self.trace.window_from(from),
+                    signals: self.signals(from),
                 });
             }
         }
@@ -1140,6 +1136,45 @@ mod tests {
         assert!(out.estop.is_none());
         assert_eq!(out.final_state, "Pedal Down");
         assert!(out.max_ee_step_1ms < 5e-4);
+    }
+
+    #[test]
+    fn signals_are_derived_from_the_recorded_cycles() {
+        let mut plain = Simulation::new(SimConfig { session_ms: 200, ..SimConfig::standard(11) });
+        plain.boot();
+        let _ = plain.run_session();
+        assert!(plain.signals(SimTime::ZERO).is_empty(), "nothing recorded, nothing derived");
+
+        let mut sim = Simulation::new(SimConfig {
+            session_ms: 200,
+            record_cycles: true,
+            ..SimConfig::standard(11)
+        });
+        sim.boot();
+        let _ = sim.run_session();
+        let log = sim.cycle_log();
+        let all = sim.signals(SimTime::ZERO);
+        assert_eq!(all.keys().map(String::as_str).collect::<Vec<_>>(), {
+            let mut names = channels::ALL.to_vec();
+            names.sort_unstable();
+            names
+        });
+        let last = log.last().expect("cycles were recorded");
+        let ee = sim.controller().chain().arm().forward(&last.state.joint_pos()).position;
+        for (name, series) in &all {
+            assert_eq!(series.len(), log.len(), "{name}");
+            assert_eq!(series.last().map(|s| s.time), Some(last.time), "{name}");
+        }
+        assert_eq!(all[channels::EE_Y_MM].last().map(|s| s.value), Some(ee.y * 1e3));
+        assert_eq!(all[channels::JPOS3].last().map(|s| s.value), Some(last.jpos[2]));
+
+        // A window keeps exactly the cycles that started at or after `from`.
+        let from = log[log.len() - 10].time;
+        let window = sim.signals(from);
+        assert!(window.values().all(|series| series.len() == 10));
+        assert_eq!(window[channels::JPOS1][0].time, from);
+        let past_end = sim.signals(last.time + SimDuration::from_millis(1));
+        assert!(past_end.len() == 6 && past_end.values().all(Vec::is_empty));
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct TrainingConfig {
     pub session_ms: u64,
     /// Percentile band for the final thresholds.
     pub percentile_band: (f64, f64),
-    /// Model perturbation used during training (must match deployment).
-    pub model_perturbation: f64,
     /// Root seed.
     pub seed: u64,
 }
@@ -29,13 +27,7 @@ pub struct TrainingConfig {
 impl TrainingConfig {
     /// The paper-scale protocol: 600 runs over two trajectories.
     pub fn paper_scale(seed: u64) -> Self {
-        TrainingConfig {
-            runs: 600,
-            session_ms: 2_000,
-            percentile_band: (99.8, 99.9),
-            model_perturbation: 0.02,
-            seed,
-        }
+        TrainingConfig { runs: 600, session_ms: 2_000, percentile_band: (99.8, 99.9), seed }
     }
 
     /// A reduced protocol for unit tests and quick experiments.
@@ -89,7 +81,6 @@ pub fn train_thresholds_with(config: &TrainingConfig, exec: &ExecutorConfig) -> 
                         percentile_band: config.percentile_band,
                         ..DetectorConfig::default()
                     },
-                    model_perturbation: config.model_perturbation,
                     thresholds: None, // learning mode
                 }),
                 ..SimConfig::standard(0)

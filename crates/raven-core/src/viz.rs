@@ -6,7 +6,9 @@
 //! All functions are pure string builders (no I/O); callers write the SVG
 //! where they want it.
 
-use simbus::TraceRecorder;
+use std::collections::BTreeMap;
+
+use crate::sim::Sample;
 
 /// Size of the rendered canvas in pixels.
 const W: f64 = 760.0;
@@ -126,15 +128,26 @@ pub fn line_chart(title: &str, x_label: &str, y_label: &str, series: &[Series<'_
     svg
 }
 
-/// Renders a recorded trace's signals over time (one colored line each) —
-/// the Fig. 8-style trajectory overlay.
-pub fn trace_chart(title: &str, trace: &TraceRecorder, signals: &[(&str, &str)]) -> String {
+/// Renders trace signals (as returned by
+/// [`Simulation::signals`](crate::Simulation::signals)) over time, one
+/// colored line each — the Fig. 8-style trajectory overlay. A signal
+/// missing from `trace` draws an empty series.
+pub fn trace_chart(
+    title: &str,
+    trace: &BTreeMap<String, Vec<Sample>>,
+    signals: &[(&str, &str)],
+) -> String {
     let series: Vec<Series<'_>> = signals
         .iter()
         .map(|(name, color)| Series {
             label: name,
             color,
-            points: trace.samples(name).iter().map(|s| (s.time.as_millis_f64(), s.value)).collect(),
+            points: trace
+                .get(*name)
+                .into_iter()
+                .flatten()
+                .map(|s| (s.time.as_millis_f64(), s.value))
+                .collect(),
         })
         .collect();
     line_chart(title, "time (ms)", "value", &series)
@@ -246,12 +259,16 @@ mod tests {
 
     #[test]
     fn trace_chart_pulls_signals() {
-        let mut trace = TraceRecorder::new();
-        for k in 0..10 {
-            let t = SimTime::ZERO + SimDuration::from_millis(k);
-            trace.record("a", t, k as f64);
-            trace.record("b", t, -(k as f64));
-        }
+        let samples = |sign: f64| -> Vec<Sample> {
+            (0..10)
+                .map(|k| Sample {
+                    time: SimTime::ZERO + SimDuration::from_millis(k),
+                    value: sign * k as f64,
+                })
+                .collect()
+        };
+        let trace =
+            BTreeMap::from([("a".to_string(), samples(1.0)), ("b".to_string(), samples(-1.0))]);
         let svg = trace_chart("trace", &trace, &[("a", "#c33"), ("b", "#33c")]);
         assert_eq!(svg.matches("<path").count(), 2);
     }

@@ -21,7 +21,6 @@ fn guarded_sim(seed: u64, mitigation: Mitigation, attack: &AttackSetup) -> Simul
         record_cycles: true,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(seed)

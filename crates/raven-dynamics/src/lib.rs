@@ -50,6 +50,6 @@ pub use cable::CableParams;
 pub use estimator::{RtModel, RtModelConfig};
 pub use link::LinkParams;
 pub use motor::MotorParams;
-pub use params::{DacScale, PlantParams};
+pub use params::{DacScale, PlantParams, MODEL_MISMATCH};
 pub use plant::RavenPlant;
 pub use state::PlantState;

@@ -65,6 +65,11 @@ pub struct PlantParams {
     pub routing: (f64, f64, f64),
 }
 
+/// The relative model/robot parameter mismatch every detector model is
+/// built with: the `fraction` passed to [`PlantParams::perturbed`] (the
+/// residual error of the paper's hand-tuned model, Fig. 8).
+pub const MODEL_MISMATCH: f64 = 0.02;
+
 impl PlantParams {
     /// The nominal RAVEN II parameter set.
     pub fn raven_ii() -> Self {

@@ -28,7 +28,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use raven_detect::{BatchDetector, DetectionThresholds, DetectorConfig};
-use raven_dynamics::{PlantParams, RtModel};
+use raven_dynamics::{PlantParams, RtModel, MODEL_MISMATCH};
 use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
 use serde::Serialize;
 use simbus::{SimDuration, SimTime};
@@ -135,7 +135,7 @@ impl FleetMonitor {
 
     /// The estimator model a session's lane is admitted with.
     pub fn session_model(&self, session: &MonitorSession) -> RtModel {
-        RtModel::new(self.shared_params.perturbed(session.seed, 0.02))
+        RtModel::new(self.shared_params.perturbed(session.seed, MODEL_MISMATCH))
     }
 
     /// The arm config every lane shares.

@@ -117,7 +117,6 @@ fn hot_attack() -> AttackSetup {
 fn armed_setup(mitigation: Mitigation) -> DetectorSetup {
     DetectorSetup {
         config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-        model_perturbation: 0.02,
         thresholds: Some(fleet_thresholds()),
     }
 }

@@ -15,13 +15,12 @@ use std::sync::OnceLock;
 
 use raven_core::training::{train_thresholds_with, TrainingConfig};
 use raven_core::{
-    AttackSetup, DetectorSetup, ExecutorConfig, IncidentReport, SessionOutcome, SimConfig,
+    AttackSetup, DetectorSetup, ExecutorConfig, IncidentReport, Sample, SessionOutcome, SimConfig,
     Simulation, Workload,
 };
 use raven_detect::{DetectionThresholds, DetectorConfig, DetectorMutation, Mitigation};
 use serde::Serialize;
 use simbus::obs::{Event, FieldValue, Metrics};
-use simbus::trace::Sample;
 use simbus::{ChaosConfig, SimTime};
 
 /// The paper's standard "hot" torque injection (Scenario B, 30 000 DAC
@@ -218,7 +217,6 @@ pub fn run_mutated_chaos_session(
         session_ms: spec.session_ms,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation: spec.mitigation, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         record_cycles: true,
@@ -256,7 +254,7 @@ pub fn run_mutated_chaos_session(
         events_dropped,
         metrics: sim.metrics(),
         incident: sim.incident().cloned(),
-        signals: sim.trace().window_from(SimTime::ZERO),
+        signals: sim.signals(SimTime::ZERO),
     }
 }
 

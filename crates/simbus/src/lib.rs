@@ -1,16 +1,17 @@
 //! Deterministic simulation substrate for the raven-guard reproduction.
 //!
 //! The paper's system runs on ROS middleware over an RT-Preempt Linux kernel
-//! with a hard 1 ms control period (§II.B, §III.D). This crate replaces that
-//! stack with a deterministic, virtual-time equivalent:
+//! with a hard 1 ms control period (§II.B, §III.D). This crate replaces the
+//! clock, network and logging parts of that stack with a deterministic,
+//! virtual-time equivalent. ROS topics have no counterpart: the detector
+//! intercepts the command write itself, and the per-cycle ground truth the
+//! paper logs lives in the simulation's recorded cycles (`raven-core`).
+//!
 //!
 //! * [`time`] — virtual clock with nanosecond resolution and the robot's
 //!   1 ms control tick;
-//! * [`bus`] — typed publish/subscribe topics (the ROS substitute);
 //! * [`net`] — simulated UDP links with loss, delay, and jitter (carries the
 //!   ITP teleoperation protocol and the malware's exfiltration traffic);
-//! * [`trace`] — time-series recording for experiment analysis (the
-//!   equivalent of the paper's logged robot runs);
 //! * [`obs`] — structured events, metrics, and the `RAVEN_LOG` filter
 //!   (the flight-recorder substrate; see `docs/OBSERVABILITY.md`);
 //! * [`span`] — hierarchical span tracing with virtual-time boundaries and
@@ -26,16 +27,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bus;
 pub mod chaos;
 pub mod net;
 pub mod obs;
 pub mod rng;
 pub mod span;
 pub mod time;
-pub mod trace;
 
-pub use bus::{Bus, Subscription};
 pub use chaos::{ChaosConfig, ChaosFault, ChaosFaultKind, ChaosSchedule};
 pub use net::{LinkConfig, SimLink};
 pub use obs::{
@@ -46,4 +44,3 @@ pub use span::{
     ChromeTraceBuilder, SpanGuard, SpanHandle, SpanPathStats, SpanRecord, SpanRecorder,
 };
 pub use time::{SimClock, SimDuration, SimTime, CONTROL_PERIOD};
-pub use trace::TraceRecorder;

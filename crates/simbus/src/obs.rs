@@ -4,9 +4,9 @@
 //! control cycle — the TOCTOU gap between the software safety checks and the
 //! `write` to the USB board (§III.B), and the detector acting one control
 //! step ahead of the command it assesses (§IV, Fig. 7). Scalar traces
-//! ([`crate::trace::TraceRecorder`]) show *what* the signals did; this module
-//! records *why*: a causal, structured record of state transitions,
-//! injections, detector verdicts, and E-stops.
+//! (the [`channels`] series of a session's recorded cycles) show *what* the
+//! signals did; this module records *why*: a causal, structured record of
+//! state transitions, injections, detector verdicts, and E-stops.
 //!
 //! Two instruments, both deterministic:
 //!
@@ -380,10 +380,10 @@ pub mod spans {
 }
 
 /// The flight-recorder channel registry: every trace-signal name the
-/// simulation records, as constants.
+/// simulation derives from its recorded cycles, as constants.
 ///
 /// Channel names key the `signals` map of an incident report and the
-/// in-memory trace buffer. Like [`names`], this module is machine-parsed
+/// series read back from the recorded cycles. Like [`names`], this module is machine-parsed
 /// by `raven-lint` R5 and cross-checked against the channel table in
 /// `docs/OBSERVABILITY.md`; production record/read sites must go through
 /// these constants, never raw string literals.
@@ -416,7 +416,7 @@ pub mod channels {
 /// against the stream table in `docs/OBSERVABILITY.md`: labels must be
 /// unique workspace-wide, and production call sites must go through
 /// these constants — `*_PREFIX` constants seed families of per-run
-/// streams (`fig6-<run>`, `campaign-<spec>-<rep>`, …).
+/// streams (`fig6-<run>`, `t4-run-<scenario>-<i>`, …).
 pub mod streams {
     /// Operator-hand tremor noise on the console trajectory.
     pub const TREMOR: &str = "tremor";
@@ -452,8 +452,6 @@ pub mod streams {
     pub const CHAOS_BOARD_SILENCE: &str = "chaos.board_silence";
     /// Plant perturbation inside the Fig. 8 robustness sweep.
     pub const FIG8_MODEL: &str = "fig8-model";
-    /// Family: per-run seeds of a campaign plan (`campaign-<spec>-<rep>`).
-    pub const CAMPAIGN_PREFIX: &str = "campaign-";
     /// Family: per-run seeds of the detector training sweep.
     pub const TRAIN_PREFIX: &str = "train-";
     /// Family: Table I scenario runs (`table1-<id>`).

@@ -162,37 +162,3 @@ fn event_ring_capacity_plus_one_evicts_exactly_the_oldest() {
     let kinds: Vec<&str> = log.iter().map(|e| e.kind.as_str()).collect();
     assert_eq!(kinds, ["k1", "k2", "k3"], "only the oldest event left");
 }
-
-#[test]
-fn trace_recorder_rejects_time_reversed_samples_without_corrupting_the_series() {
-    use simbus::trace::TraceRecorder;
-
-    let mut trace = TraceRecorder::new();
-    trace.record("sig", t(5), 1.0);
-    trace.record("sig", t(7), 2.0);
-
-    let err = trace.try_record("sig", t(6), 99.0).expect_err("time went backwards");
-    assert_eq!(err.signal, "sig");
-    assert_eq!(err.last, t(7));
-    assert_eq!(err.attempted, t(6));
-
-    // The rejected sample left no trace, and the series still accepts
-    // forward (and equal-time) samples afterwards.
-    assert_eq!(trace.values("sig"), [1.0, 2.0]);
-    trace.try_record("sig", t(7), 3.0).expect("equal timestamps are in order");
-    trace.try_record("sig", t(8), 4.0).expect("forward time");
-    assert_eq!(trace.values("sig"), [1.0, 2.0, 3.0, 4.0]);
-}
-
-#[test]
-fn trace_recorder_out_of_order_is_per_signal() {
-    use simbus::trace::TraceRecorder;
-
-    let mut trace = TraceRecorder::new();
-    trace.record("a", t(10), 0.0);
-    // A fresh signal starts its own clock: an earlier timestamp on a
-    // different signal is fine.
-    trace.try_record("b", t(1), 0.5).expect("signals are independent");
-    assert_eq!(trace.len("a"), 1);
-    assert_eq!(trace.len("b"), 1);
-}

@@ -16,7 +16,6 @@ fn attacked_session(mitigation: Mitigation, thresholds: raven_detect::DetectionT
         session_ms: 4_000,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(8)

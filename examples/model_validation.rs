@@ -10,7 +10,7 @@ use raven_core::experiments::run_fig8;
 
 fn main() {
     println!("running 4 paired model/robot sessions per integrator …\n");
-    let result = run_fig8(42, 4, 3_000, 0.02);
+    let result = run_fig8(42, 4, 3_000);
     print!("{}", result.render());
 
     let euler = result.row("Euler").expect("euler row");

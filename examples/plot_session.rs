@@ -8,11 +8,17 @@
 //! #   results/ee_path.svg
 //! ```
 
-use raven_core::viz::{line_chart, trace_chart, Series};
-use raven_core::{AttackSetup, SimConfig, Simulation, Workload};
-use simbus::obs::channels;
+use std::collections::BTreeMap;
 
-fn run(attack: Option<AttackSetup>, seed: u64) -> Simulation {
+use raven_core::viz::{line_chart, trace_chart, Series};
+use raven_core::{AttackSetup, Sample, SimConfig, Simulation, Workload};
+use simbus::obs::channels;
+use simbus::SimTime;
+
+/// The trace signals of one recorded session.
+type Signals = BTreeMap<String, Vec<Sample>>;
+
+fn run(attack: Option<AttackSetup>, seed: u64) -> Signals {
     let mut sim = Simulation::new(SimConfig {
         workload: Workload::Circle,
         session_ms: 4_000,
@@ -24,7 +30,7 @@ fn run(attack: Option<AttackSetup>, seed: u64) -> Simulation {
     }
     sim.boot();
     let _ = sim.run_session();
-    sim
+    sim.signals(SimTime::ZERO)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,26 +55,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     std::fs::write(
         out_dir.join("session_clean.svg"),
-        trace_chart("clean teleoperation: end-effector (mm)", clean.trace(), &signals),
+        trace_chart("clean teleoperation: end-effector (mm)", &clean, &signals),
     )?;
     std::fs::write(
         out_dir.join("session_attacked.svg"),
         trace_chart(
             "scenario-B injection (+30000 counts, 256 ms): end-effector (mm)",
-            attacked.trace(),
+            &attacked,
             &signals,
         ),
     )?;
 
     // XY path overlay: the hijacked trajectory vs the commanded circle.
-    let path = |sim: &Simulation, label, color| Series {
+    let path = |trace: &Signals, label, color| Series {
         label,
         color,
-        points: sim
-            .trace()
-            .samples(channels::EE_X_MM)
+        points: trace[channels::EE_X_MM]
             .iter()
-            .zip(sim.trace().samples(channels::EE_Y_MM))
+            .zip(&trace[channels::EE_Y_MM])
             .map(|(x, y)| (x.value, y.value))
             .collect(),
     };

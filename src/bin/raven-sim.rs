@@ -381,7 +381,6 @@ fn main() {
                         mitigation: Mitigation::EStop,
                         ..DetectorConfig::default()
                     },
-                    model_perturbation: 0.02,
                     thresholds: Some(report.thresholds),
                 }),
                 ..SimConfig::standard(opts.seed)
@@ -464,7 +463,7 @@ fn main() {
         "table2" => print!("{}", run_table2(10_000).render()),
         "fig5" => print!("{}", run_fig5(3, 4_000).render()),
         "fig6" => print!("{}", run_fig6(5).render()),
-        "fig8" => print!("{}", run_fig8(42, 3, 2_500, 0.02).render()),
+        "fig8" => print!("{}", run_fig8(42, 3, 2_500).render()),
         _ => {
             eprintln!(
                 "usage: raven-sim <session|attack|defend|train|table1|table2|table4|\

@@ -42,7 +42,6 @@ fn defense_stops_the_attack_the_undefended_robot_suffers() {
         session_ms: 4_000,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation: Mitigation::EStop, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(8)
@@ -72,7 +71,6 @@ fn block_and_hold_keeps_the_session_alive() {
                 mitigation: Mitigation::BlockAndHold,
                 ..DetectorConfig::default()
             },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(11)
@@ -105,7 +103,6 @@ fn guard_is_transparent_on_clean_runs() {
                 mitigation: Mitigation::BlockAndHold,
                 ..DetectorConfig::default()
             },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(13)
@@ -248,10 +245,10 @@ fn console_silence_stops_the_robot() {
     );
 }
 
-/// Telemetry publishes on the ROS-style bus, and learned thresholds survive
-/// a JSON round trip into a new deployment.
+/// Learned thresholds survive a JSON round trip into a new deployment, and
+/// the reloaded guard runs a clean session to the end.
 #[test]
-fn telemetry_bus_and_threshold_persistence() {
+fn threshold_persistence() {
     // Train once, persist, reload — the production workflow.
     let trained = quick_thresholds(37);
     let json = trained.to_json().expect("thresholds serialize");
@@ -268,18 +265,14 @@ fn telemetry_bus_and_threshold_persistence() {
         session_ms: 1_500,
         detector: Some(DetectorSetup {
             config: DetectorConfig::default(),
-            model_perturbation: 0.02,
             thresholds: Some(reloaded),
         }),
         ..SimConfig::standard(37)
     });
-    let mut sub = sim.telemetry_bus().subscribe();
     sim.boot();
     let _ = sim.run_session();
-    let frames = sub.drain();
-    assert!(frames.len() > 1_000, "telemetry must stream every cycle: {}", frames.len());
-    // Frames carry real state: the last ones are Pedal Down with a target.
-    let last = frames.last().unwrap();
+    // The last cycle's telemetry carries real state: Pedal Down with a target.
+    let last = sim.controller().telemetry().expect("the controller ran");
     assert_eq!(last.state, raven_hw::RobotState::PedalDown);
     assert!(last.pos_d.is_some());
 }
@@ -295,7 +288,6 @@ fn guard_detects_encoder_feedback_attacks() {
         session_ms: 4_000,
         detector: Some(DetectorSetup {
             config: DetectorConfig { mitigation: Mitigation::Observe, ..DetectorConfig::default() },
-            model_perturbation: 0.02,
             thresholds: Some(thresholds),
         }),
         ..SimConfig::standard(43)

@@ -9,8 +9,14 @@
 //! ```text
 //! RAVEN_UPDATE_GOLDEN=1 cargo test --test golden_artifacts
 //! ```
+//!
+//! The network study is also pinned, against its committed full-scale
+//! record `results/study_network.json` (written by
+//! `cargo bench -p bench --bench ablation_suite`).
 
-use raven_core::experiments::{run_fig9_with, run_table4_with, Fig9Config, Table4Config};
+use raven_core::experiments::{
+    run_fig9_with, run_network_study, run_table4_with, Fig9Config, Table4Config,
+};
 use raven_core::training::TrainingConfig;
 use raven_core::ExecutorConfig;
 use std::path::PathBuf;
@@ -87,4 +93,14 @@ fn fig9_matches_golden_fixture() {
     let parallel = run_fig9_with(&golden_fig9(), &ExecutorConfig::with_workers(2));
     let parallel_json = serde_json::to_string_pretty(&parallel).expect("serialize fig9");
     assert_eq!(json, parallel_json, "fig9 golden run diverged at workers=2");
+}
+
+/// The network study's RMS column is read from the recorded trace signals,
+/// so this pins the signal derivation end to end.
+#[test]
+fn network_study_matches_pinned_result() {
+    let json = serde_json::to_string_pretty(&run_network_study(53)).expect("serialize study");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/study_network.json");
+    let expected = std::fs::read_to_string(&path).expect("read results/study_network.json");
+    assert_eq!(json, expected, "run_network_study(53) drifted from {}", path.display());
 }
