@@ -22,7 +22,7 @@ fn run_cycle(
     let now = clock.now();
     let feedback = rig.read_feedback(now);
     let pkt = ctl.cycle(input, &feedback);
-    rig.deliver_command(&pkt, now);
+    rig.deliver_command(&pkt, now, None);
     rig.step(now);
     clock.tick();
 }

@@ -10,7 +10,7 @@
 //!    lack (§III.B.3): packet checksum verification stops scenario B cold
 //!    but is blind to scenario A (which re-encodes well-formed packets).
 
-use raven_detect::{DetectorConfig, FusionRule, Mitigation};
+use raven_detect::{DetectorConfig, DynamicDetector, FusionRule, Mitigation};
 use raven_math::stats::ConfusionMatrix;
 use serde::{Deserialize, Serialize};
 use simbus::obs::streams;
@@ -392,7 +392,7 @@ pub fn run_lookahead_ablation_with(
                 let out = sim.run_session();
                 let latency = if attack.is_attack() && out.model_detected {
                     sim.detector()
-                        .and_then(|d| d.lock().first_alarm_assessment())
+                        .and_then(DynamicDetector::first_alarm_assessment)
                         // Assessments count Pedal-Down packets; injection
                         // starts after `delay` of them.
                         .map(|first| first.saturating_sub(delay) as f64)

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use raven_attack::{ActivationWindow, Corruption, InjectionWrapper, ItpMitm};
 use raven_control::{ControllerConfig, FaultReason, OperatorInput, RavenController};
-use raven_detect::{DetectorConfig, DynamicDetector, GuardInterceptor, SharedDetector};
+use raven_detect::{DetectorConfig, DynamicDetector};
 use raven_dynamics::{PlantParams, RtModel, MODEL_MISMATCH};
 use raven_hw::chaos::{ChaosEncoderBitFlip, ChaosFeedbackHold, ChaosFrameDrop, ChaosStuckEncoder};
 use raven_hw::{EStopCause, FaultWindow, HardwareRig, RobotState};
@@ -266,7 +266,7 @@ pub struct Simulation {
     itp_rx: Vec<Vec<u8>>,
     controller: RavenController,
     rig: HardwareRig,
-    detector: Option<SharedDetector>,
+    detector: Option<DynamicDetector>,
     mitm: Option<ItpMitm>,
     last_input: Option<OperatorInput>,
     last_packet_at: SimTime,
@@ -332,16 +332,9 @@ impl Simulation {
             if let Some(thresholds) = setup.thresholds {
                 det.arm_with(thresholds);
             }
-            raven_detect::shared(det)
+            det.set_observer(std::sync::Arc::clone(&observer));
+            det
         });
-        // The guard is the LAST write interceptor: closest to the hardware,
-        // downstream of any malware installed later (paper §IV.C).
-        if let Some(det) = &detector {
-            rig.channel.install(Box::new(GuardInterceptor::with_observer(
-                std::sync::Arc::clone(det),
-                std::sync::Arc::clone(&observer),
-            )));
-        }
 
         // Boot (pre-start idle + homing from the stowed pose) takes < 2 s;
         // the pedal pattern starts shortly after.
@@ -466,8 +459,8 @@ impl Simulation {
     pub fn enable_span_recorder(&mut self) {
         self.spans = SpanHandle::recording();
         self.rig.set_span_handle(self.spans.clone());
-        if let Some(det) = &self.detector {
-            det.lock().set_span_handle(self.spans.clone());
+        if let Some(det) = &mut self.detector {
+            det.set_span_handle(self.spans.clone());
         }
     }
 
@@ -588,9 +581,15 @@ impl Simulation {
         scheduled
     }
 
-    /// Read access to the shared detector (training protocols, metrics).
-    pub fn detector(&self) -> Option<&SharedDetector> {
+    /// The session's detector (training protocols, metrics).
+    pub fn detector(&self) -> Option<&DynamicDetector> {
         self.detector.as_ref()
+    }
+
+    /// Mutable access to the session's detector (ending a learning run,
+    /// installing a kill-suite mutant).
+    pub fn detector_mut(&mut self) -> Option<&mut DynamicDetector> {
+        self.detector.as_mut()
     }
 
     /// Mutable access to the hardware rig (installing bespoke interceptors
@@ -772,27 +771,27 @@ impl Simulation {
         // 3. Feedback read; detector measurement sync.
         let span_stage = self.spans.begin(spans::STAGE_FEEDBACK);
         let feedback = self.rig.read_feedback(now);
-        if let Some(det) = &self.detector {
-            let mpos = self.rig.decode_motor_positions(&feedback);
-            det.lock().sync_measurement(mpos);
+        if let Some(det) = &mut self.detector {
+            det.sync_measurement(self.rig.decode_motor_positions(&feedback));
         }
         drop(span_stage);
 
         // 4. Control cycle; command write through the interceptor chain
-        //    (malware wrappers first, the dynamic-model guard last).
+        //    (malware wrappers first, then the detector in the guard slot,
+        //    then transit faults).
         let span_stage = self.spans.begin(spans::STAGE_CONTROLLER);
         let input = self.last_input;
         let cmd = self.controller.cycle(input.as_ref(), &feedback);
         drop(span_stage);
         let span_stage = self.spans.begin(spans::STAGE_INTERCEPTORS);
-        self.rig.deliver_command(&cmd, now);
+        self.rig.deliver_command(&cmd, now, self.detector.as_mut().map(|d| d as _));
         drop(span_stage);
 
         // 5. Guard-driven E-STOP (the trusted hardware module acts on both
         //    the software and the PLC).
         let span_stage = self.spans.begin(spans::STAGE_DETECTOR);
         if let Some(det) = &self.detector {
-            if det.lock().estop_requested()
+            if det.estop_requested()
                 && self.controller.state_machine().fault() != Some(FaultReason::GuardStop)
                 && !self.controller.state_machine().is_estop()
             {
@@ -917,13 +916,7 @@ impl Simulation {
     /// the previous cycle, emits events/metrics for every edge, and trips
     /// the flight recorder once.
     fn observe_cycle(&mut self, now: SimTime) {
-        // Sample detector state first (consistent lock order: detector
-        // before observer, matching the guard interceptor).
-        let det_sample = self.detector.as_ref().map(|det| {
-            let d = det.lock();
-            (d.alarmed(), d.first_alarm_assessment())
-        });
-
+        let det_sample = self.detector.as_ref().map(|d| (d.alarmed(), d.first_alarm_assessment()));
         let state = self.controller.state_machine().state();
         let fault = self.controller.state_machine().fault();
         let estop = self.rig.estop();
@@ -1058,7 +1051,7 @@ impl Simulation {
             self.rig.estop(),
             Some(EStopCause::WatchdogTimeout) | Some(EStopCause::HardwareFault)
         );
-        let model_detected = self.detector.as_ref().map(|d| d.lock().alarmed()).unwrap_or(false);
+        let model_detected = self.detector.as_ref().is_some_and(DynamicDetector::alarmed);
         SessionOutcome {
             max_ee_step_1ms: self.max_ee_step_1ms,
             max_ee_step_2ms: self.max_ee_step_2ms,

@@ -4,14 +4,13 @@
 //! Placement matters: the paper argues the detector belongs "at lower layers
 //! of control structure and just before the commands are going to be
 //! executed on the physical robot" (§IV.C), downstream of any compromised
-//! software. [`GuardInterceptor`] therefore installs as the *last* write
-//! interceptor: it sees exactly the bytes the board would execute —
-//! including any malware mutations — and vets them against the model's
-//! one-step prediction *before* they reach the motors.
+//! software. [`DynamicDetector`] therefore runs in the guard slot of the USB
+//! write chain ([`raven_hw::UsbChannel::write_guarded`]), after every
+//! upstream (malware) interceptor: it sees the bytes the host hands to the
+//! board — including any malware mutations — and vets them against the
+//! model's one-step prediction *before* they reach the motors. Only the
+//! transit faults installed downstream of the slot come after it.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use raven_dynamics::RtModel;
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
 use raven_hw::{RobotState, UsbCommandPacket};
@@ -147,12 +146,12 @@ impl std::error::Error for NoFaultFreeSamples {}
 /// fusion, the end-effector limit and the alarm counters — is lane 0 of
 /// a one-lane [`BatchDetector`], the same code the fleet monitor runs.
 /// What stays here is scalar by design: threshold learning, and the
-/// mitigation state the [`GuardInterceptor`] drives (safe-command
+/// mitigation state its [`WriteInterceptor`] impl drives (safe-command
 /// history, hold cooldown, the mitigation-window span).
 ///
-/// Share it between the harness (which feeds encoder measurements each
-/// cycle via [`DynamicDetector::sync_measurement`]) and the
-/// [`GuardInterceptor`] on the write path via [`shared`].
+/// The session owns it: each cycle it feeds the encoder measurement via
+/// [`DynamicDetector::sync_measurement`], then lends the detector to the
+/// write path as the guard of the command write.
 #[derive(Debug)]
 pub struct DynamicDetector {
     model: RtModel,
@@ -169,9 +168,13 @@ pub struct DynamicDetector {
     /// Open `span.mitigation.window` guard: opened on the first alarm,
     /// closed when the hold cooldown drains (or at session reset/teardown).
     mitigation_span: Option<SpanGuard>,
+    observer: Option<SharedObserver>,
 }
 
 impl DynamicDetector {
+    /// Interceptor name.
+    pub const NAME: &'static str = "dynamic-model-guard";
+
     /// Creates a detector in learning mode.
     ///
     /// `model` is the real-time model — typically built from a *perturbed*
@@ -188,7 +191,15 @@ impl DynamicDetector {
             last_assessment: None,
             spans: SpanHandle::default(),
             mitigation_span: None,
+            observer: None,
         }
+    }
+
+    /// Attaches an observer: the guard reports assessments, verdicts, and
+    /// blocked commands into it (events stamped with the write's virtual
+    /// time from [`WriteContext`]).
+    pub fn set_observer(&mut self, observer: SharedObserver) {
+        self.observer = Some(observer);
     }
 
     /// Installs a span handle so every assessment runs under a
@@ -196,11 +207,6 @@ impl DynamicDetector {
     /// `span.mitigation.window` span. Disabled handles cost nothing.
     pub fn set_span_handle(&mut self, handle: SpanHandle) {
         self.spans = handle;
-    }
-
-    /// Closes the mitigation-window span, if one is open.
-    pub fn close_mitigation_window(&mut self) {
-        self.mitigation_span = None;
     }
 
     /// Installs (or clears) a kill-suite mutant. Test-only: exists solely
@@ -349,40 +355,9 @@ impl DynamicDetector {
     }
 }
 
-/// A shareable handle to a detector.
-pub type SharedDetector = Arc<Mutex<DynamicDetector>>;
-
-/// Wraps a detector for sharing between the guard and the harness.
-pub fn shared(detector: DynamicDetector) -> SharedDetector {
-    Arc::new(Mutex::new(detector))
-}
-
 /// The write-path guard: assesses every Pedal-Down command packet before it
 /// reaches the USB board, and mitigates on alarm.
-#[derive(Debug)]
-pub struct GuardInterceptor {
-    detector: SharedDetector,
-    observer: Option<SharedObserver>,
-}
-
-impl GuardInterceptor {
-    /// Interceptor name.
-    pub const NAME: &'static str = "dynamic-model-guard";
-
-    /// Creates a guard over a shared detector.
-    pub fn new(detector: SharedDetector) -> Self {
-        GuardInterceptor { detector, observer: None }
-    }
-
-    /// Creates a guard that also reports assessments, verdicts, and blocked
-    /// commands into an observer (events stamped with the write's virtual
-    /// time from [`WriteContext`]).
-    pub fn with_observer(detector: SharedDetector, observer: SharedObserver) -> Self {
-        GuardInterceptor { detector, observer: Some(observer) }
-    }
-}
-
-impl WriteInterceptor for GuardInterceptor {
+impl WriteInterceptor for DynamicDetector {
     fn on_write(&mut self, buf: &mut Vec<u8>, ctx: &WriteContext) -> WriteAction {
         let Ok(pkt) = UsbCommandPacket::decode_unchecked(buf) else {
             // Undecodable buffers cannot be executed by the board anyway.
@@ -392,27 +367,26 @@ impl WriteInterceptor for GuardInterceptor {
         if pkt.state != RobotState::PedalDown {
             return WriteAction::Forward;
         }
-        let mut det = self.detector.lock();
         let dac3 = [pkt.dac[0], pkt.dac[1], pkt.dac[2]];
-        let Some(assessment) = det.assess(&dac3) else {
+        let Some(assessment) = self.assess(&dac3) else {
             return WriteAction::Forward;
         };
-        if det.mode() == DetectorMode::Armed {
+        if self.mode() == DetectorMode::Armed {
             if let Some(obs) = &self.observer {
                 obs.lock().metrics.inc(names::DETECTOR_ASSESSMENTS);
             }
         }
-        let holding = det.hold_cooldown > 0;
+        let holding = self.hold_cooldown > 0;
         if !assessment.alarm() && !holding {
-            det.remember_safe(pkt.dac);
+            self.remember_safe(pkt.dac);
             return WriteAction::Forward;
         }
         // "blocked" = the board does not receive the command verbatim
         // (dropped outright, or substituted with a safe hold).
-        let (action, blocked) = if det.batch.mutated(DetectorMutation::BlockPathDisabled) {
+        let (action, blocked) = if self.batch.mutated(DetectorMutation::BlockPathDisabled) {
             (WriteAction::Forward, false)
         } else {
-            match det.config().mitigation {
+            match self.config().mitigation {
                 Mitigation::Observe => (WriteAction::Forward, false),
                 Mitigation::EStop => (WriteAction::Drop, true),
                 Mitigation::BlockAndHold => {
@@ -424,19 +398,19 @@ impl WriteInterceptor for GuardInterceptor {
                     // an injection pass before velocity builds and would be
                     // replayed forever.
                     if assessment.alarm() {
-                        let ignored = det.batch.mutated(DetectorMutation::CooldownIgnored);
-                        det.hold_cooldown =
-                            if ignored { 0 } else { det.config().hold_cooldown_cycles };
+                        let ignored = self.batch.mutated(DetectorMutation::CooldownIgnored);
+                        self.hold_cooldown =
+                            if ignored { 0 } else { self.config().hold_cooldown_cycles };
                     } else {
-                        det.hold_cooldown = det.hold_cooldown.saturating_sub(1);
-                        if det.hold_cooldown == 0 {
-                            det.close_mitigation_window();
+                        self.hold_cooldown = self.hold_cooldown.saturating_sub(1);
+                        if self.hold_cooldown == 0 {
+                            self.mitigation_span = None;
                         }
                     }
-                    let held = if det.batch.mutated(DetectorMutation::HoldSubstitutesLatest) {
-                        det.safe_history.back()
+                    let held = if self.batch.mutated(DetectorMutation::HoldSubstitutesLatest) {
+                        self.safe_history.back()
                     } else {
-                        det.safe_history.front()
+                        self.safe_history.front()
                     };
                     match held.copied() {
                         None => (WriteAction::Drop, true),
@@ -468,7 +442,7 @@ impl WriteInterceptor for GuardInterceptor {
                 };
                 obs.event(
                     Event::new(ctx.time, "detector", Severity::Warn, EventKind::DetectorVerdict)
-                        .with("assessment", det.assessments())
+                        .with("assessment", self.assessments())
                         .with("seq", ctx.seq)
                         .with("threshold_alarm", assessment.threshold_alarm)
                         .with("ee_alarm", assessment.ee_alarm)
@@ -492,18 +466,16 @@ mod tests {
     use raven_kinematics::JointState;
     use simbus::SimTime;
 
-    fn setup(mitigation: Mitigation) -> (SharedDetector, PlantParams) {
+    fn setup(mitigation: Mitigation) -> (DynamicDetector, PlantParams) {
         let params = PlantParams::raven_ii();
         let arm = ArmConfig::builder().coupling(params.coupling()).build();
         let model = RtModel::new(params.perturbed(1, 0.02));
         let config = DetectorConfig { mitigation, ..DetectorConfig::default() };
-        let det = DynamicDetector::new(arm, model, config);
-        (shared(det), params)
+        (DynamicDetector::new(arm, model, config), params)
     }
 
     /// Trains on gentle synthetic motion and arms.
-    fn train_and_arm(det: &SharedDetector, params: &PlantParams) {
-        let mut d = det.lock();
+    fn train_and_arm(d: &mut DynamicDetector, params: &PlantParams) {
         let coupling = params.coupling();
         for k in 0..2000u64 {
             let t = k as f64 * 1e-3;
@@ -522,10 +494,10 @@ mod tests {
 
     /// Feeds a measurement showing the shoulder motor running away
     /// (~50 rad/s over one cycle), as seen mid-injection.
-    fn runaway_measurement(det: &SharedDetector, params: &PlantParams) {
+    fn runaway_measurement(det: &mut DynamicDetector, params: &PlantParams) {
         let mut m = params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25));
         m.angles[0] += 0.05;
-        det.lock().sync_measurement(m);
+        det.sync_measurement(m);
     }
 
     fn pedal_down_packet(dac0: i16) -> Vec<u8> {
@@ -549,8 +521,7 @@ mod tests {
 
     #[test]
     fn learning_mode_never_alarms() {
-        let (det, params) = setup(Mitigation::EStop);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let a = d.assess(&[30_000, 0, 0]).unwrap();
         assert!(!a.alarm());
@@ -560,9 +531,8 @@ mod tests {
 
     #[test]
     fn armed_detector_flags_violent_command_and_passes_gentle() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut d, &params);
         d.reset_session(); // fresh session: no stale differenced velocity
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let gentle = d.assess(&[150, 100, -50]).unwrap();
@@ -581,77 +551,61 @@ mod tests {
 
     #[test]
     fn guard_drops_alarming_packet_in_estop_mode() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.reset_session();
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let mut safe = pedal_down_packet(150);
-        assert_eq!(guard.on_write(&mut safe, &ctx()), WriteAction::Forward);
-        runaway_measurement(&det, &params);
+        assert_eq!(det.on_write(&mut safe, &ctx()), WriteAction::Forward);
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Drop);
-        assert!(det.lock().estop_requested());
+        assert_eq!(det.on_write(&mut hot, &ctx()), WriteAction::Drop);
+        assert!(det.estop_requested());
     }
 
     #[test]
     fn guard_substitutes_last_safe_in_hold_mode() {
-        let (det, params) = setup(Mitigation::BlockAndHold);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::BlockAndHold);
+        train_and_arm(&mut det, &params);
+        det.reset_session();
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let mut safe = pedal_down_packet(150);
-        guard.on_write(&mut safe, &ctx());
-        runaway_measurement(&det, &params);
+        det.on_write(&mut safe, &ctx());
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Forward);
+        assert_eq!(det.on_write(&mut hot, &ctx()), WriteAction::Forward);
         let substituted = UsbCommandPacket::decode_unchecked(&hot).unwrap();
         assert_eq!(substituted.dac[0], 150, "last-safe DAC substituted");
-        assert!(!det.lock().estop_requested(), "hold mode must not demand E-STOP");
+        assert!(!det.estop_requested(), "hold mode must not demand E-STOP");
     }
 
     #[test]
     fn guard_ignores_non_pedal_down_states() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        det.lock()
-            .sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
-        let mut guard = GuardInterceptor::new(Arc::clone(&det));
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let mut pkt =
             UsbCommandPacket { state: RobotState::PedalUp, watchdog: true, dac: [32_000; 8] }
                 .encode()
                 .to_vec();
-        assert_eq!(guard.on_write(&mut pkt, &ctx()), WriteAction::Forward);
-        assert_eq!(det.lock().assessments(), 0);
+        assert_eq!(det.on_write(&mut pkt, &ctx()), WriteAction::Forward);
+        assert_eq!(det.assessments(), 0);
     }
 
     #[test]
     fn guard_forwards_without_measurement() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        det.lock().reset_session(); // clears the tracked state
-        let mut guard = GuardInterceptor::new(det);
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.reset_session(); // clears the tracked state
         let mut pkt = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut pkt, &ctx()), WriteAction::Forward);
+        assert_eq!(det.on_write(&mut pkt, &ctx()), WriteAction::Forward);
         let _ = params;
     }
 
     #[test]
     fn reset_session_clears_counters_but_keeps_thresholds() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        let mut d = det.lock();
+        let (mut d, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut d, &params);
         d.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         d.assess(&[32_000, 0, 0]);
         assert!(d.alarmed());
@@ -664,29 +618,24 @@ mod tests {
 
     #[test]
     fn arming_without_samples_errors() {
-        let (det, _) = setup(Mitigation::EStop);
-        assert_eq!(det.lock().arm(), Err(NoFaultFreeSamples));
-        assert_eq!(det.lock().mode(), DetectorMode::Learning);
+        let (mut det, _) = setup(Mitigation::EStop);
+        assert_eq!(det.arm(), Err(NoFaultFreeSamples));
+        assert_eq!(det.mode(), DetectorMode::Learning);
     }
 
     #[test]
     fn observed_guard_reports_assessments_verdicts_and_blocks() {
-        let (det, params) = setup(Mitigation::EStop);
-        train_and_arm(&det, &params);
-        {
-            let mut d = det.lock();
-            d.reset_session();
-            d.sync_measurement(
-                params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)),
-            );
-        }
+        let (mut det, params) = setup(Mitigation::EStop);
+        train_and_arm(&mut det, &params);
+        det.reset_session();
+        det.sync_measurement(params.coupling().joints_to_motors(&JointState::new(0.0, 1.4, 0.25)));
         let obs = simbus::obs::shared_observer(64);
-        let mut guard = GuardInterceptor::with_observer(Arc::clone(&det), Arc::clone(&obs));
+        det.set_observer(std::sync::Arc::clone(&obs));
         let mut safe = pedal_down_packet(150);
-        guard.on_write(&mut safe, &ctx());
-        runaway_measurement(&det, &params);
+        det.on_write(&mut safe, &ctx());
+        runaway_measurement(&mut det, &params);
         let mut hot = pedal_down_packet(32_000);
-        assert_eq!(guard.on_write(&mut hot, &ctx()), WriteAction::Drop);
+        assert_eq!(det.on_write(&mut hot, &ctx()), WriteAction::Drop);
         let o = obs.lock();
         assert_eq!(o.metrics.counter("detector.assessments"), 2);
         assert_eq!(o.metrics.counter("detector.alarms"), 1);

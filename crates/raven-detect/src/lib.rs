@@ -11,9 +11,9 @@
 //!   positioning axis, plus the predicted end-effector step;
 //! * [`thresholds`] — percentile threshold learning over fault-free runs
 //!   (99.8–99.9th percentile, §IV.C) and the three-way alarm fusion rule;
-//! * [`detector`] — [`DynamicDetector`] (model tracking + assessment) and
-//!   [`GuardInterceptor`] (the write-path guard), with the two mitigation
-//!   policies of §IV.C: block-and-hold and E-STOP.
+//! * [`detector`] — [`DynamicDetector`]: model tracking, assessment, and
+//!   the write-path guard that runs in the USB channel's guard slot, with
+//!   the two mitigation policies of §IV.C: block-and-hold and E-STOP.
 //!
 //! The RAVEN *baseline* detector of Table IV is the stock software safety
 //! layer in `raven-control::safety` plus the PLC watchdog in
@@ -30,8 +30,8 @@ pub mod thresholds;
 
 pub use batch::BatchDetector;
 pub use detector::{
-    shared, Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule,
-    GuardInterceptor, Mitigation, NoFaultFreeSamples, SharedDetector,
+    Assessment, DetectorConfig, DetectorMode, DynamicDetector, FusionRule, Mitigation,
+    NoFaultFreeSamples,
 };
 pub use features::InstantFeatures;
 pub use mutants::DetectorMutation;

@@ -15,7 +15,8 @@
 //! first-alarm index and the E-STOP request) sit on
 //! [`crate::BatchDetector`], the one assessment path the guard and the
 //! fleet monitor share; the three mitigation decisions (block path, hold
-//! cooldown, substitution source) sit in [`crate::GuardInterceptor`].
+//! cooldown, substitution source) sit in the guard, the write interceptor
+//! of [`crate::DynamicDetector`].
 //! Only the `mutant-hooks` cargo feature compiles the installers
 //! (`BatchDetector::set_mutation`, which `DynamicDetector::set_mutation`
 //! forwards to) and the mutant branches: without it `mutated` is the

@@ -12,8 +12,10 @@
 //! The same hook point hosts the defense: the paper argues the detector
 //! belongs "at lower layers of control structure and just before the
 //! commands are going to be executed on the physical robot" (§IV.C), so the
-//! dynamic-model guard in `raven-detect` is installed as the *last*
-//! interceptor in the chain — downstream of any malware.
+//! chain has a fixed guard slot for the dynamic-model detector in
+//! `raven-detect` ([`UsbChannel::write_guarded`]): downstream of the
+//! malware side ([`UsbChannel::install_first`]), upstream of the transit
+//! faults ([`UsbChannel::install`], e.g. chaos frame drops).
 
 use simbus::SimTime;
 
@@ -74,13 +76,12 @@ pub trait ReadInterceptor: std::fmt::Debug + Send {
 pub struct WriteOutcome {
     /// The delivered bytes, or `None` if an interceptor dropped the write.
     pub delivered: Option<Vec<u8>>,
-    /// Name of the interceptor that dropped the write, if any.
-    pub dropped_by: Option<String>,
     /// Whether any interceptor changed the bytes relative to the input.
     pub mutated: bool,
 }
 
-/// The USB write path: an ordered interceptor chain in front of the board.
+/// The USB write path: an ordered interceptor chain in front of the board,
+/// with a guard slot between its upstream and downstream halves.
 ///
 /// # Example
 ///
@@ -104,7 +105,10 @@ pub struct WriteOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct UsbChannel {
-    write_chain: Vec<Box<dyn WriteInterceptor>>,
+    /// Runs before the guard slot, in order.
+    upstream: Vec<Box<dyn WriteInterceptor>>,
+    /// Runs after the guard slot, in order.
+    downstream: Vec<Box<dyn WriteInterceptor>>,
     read_chain: Vec<Box<dyn ReadInterceptor>>,
     seq: u64,
     writes: u64,
@@ -123,15 +127,16 @@ impl UsbChannel {
         Self::default()
     }
 
-    /// Appends a write interceptor to the end of the chain (runs last).
+    /// Appends a write interceptor to the end of the chain (runs last,
+    /// downstream of the guard slot).
     pub fn install(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.push(interceptor);
+        self.downstream.push(interceptor);
     }
 
     /// Prepends a write interceptor (runs first — how `LD_PRELOAD` shadows
-    /// every later hook).
+    /// every later hook — upstream of the guard slot).
     pub fn install_first(&mut self, interceptor: Box<dyn WriteInterceptor>) {
-        self.write_chain.insert(0, interceptor);
+        self.upstream.insert(0, interceptor);
     }
 
     /// Appends a read interceptor.
@@ -141,45 +146,49 @@ impl UsbChannel {
 
     /// Removes every interceptor whose name matches.
     pub fn uninstall(&mut self, name: &str) {
-        self.write_chain.retain(|i| i.name() != name);
+        self.upstream.retain(|i| i.name() != name);
+        self.downstream.retain(|i| i.name() != name);
         self.read_chain.retain(|i| i.name() != name);
     }
 
-    /// Names of the installed write interceptors, in execution order.
+    /// Names of the installed write interceptors, in execution order (the
+    /// guard slot sits between the upstream and downstream ones).
     pub fn write_chain_names(&self) -> Vec<&str> {
-        self.write_chain.iter().map(|i| i.name()).collect()
+        self.upstream.iter().chain(&self.downstream).map(|i| i.name()).collect()
     }
 
-    /// Pushes a buffer through the write chain.
+    /// Pushes a buffer through the write chain with an empty guard slot.
     pub fn write(&mut self, buf: Vec<u8>, time: SimTime) -> WriteOutcome {
+        self.write_guarded(buf, time, None)
+    }
+
+    /// Pushes a buffer through the write chain: the upstream interceptors,
+    /// then `guard`, then the downstream ones. The guard's drops and
+    /// rewrites count in [`drops`](Self::drops) and
+    /// [`mutations`](Self::mutations) like any interceptor's.
+    pub fn write_guarded(
+        &mut self,
+        buf: Vec<u8>,
+        time: SimTime,
+        guard: Option<&mut dyn WriteInterceptor>,
+    ) -> WriteOutcome {
         let ctx = WriteContext { time, seq: self.seq, process: Self::PROCESS, fd: Self::BOARD_FD };
         self.seq += 1;
         self.writes += 1;
 
         let original = buf.clone();
         let mut current = buf;
-        for interceptor in &mut self.write_chain {
-            match interceptor.on_write(&mut current, &ctx) {
-                WriteAction::Forward => {}
-                WriteAction::Drop => {
-                    self.drops += 1;
-                    let mutated = current != original;
-                    if mutated {
-                        self.mutations += 1;
-                    }
-                    return WriteOutcome {
-                        delivered: None,
-                        dropped_by: Some(interceptor.name().to_string()),
-                        mutated,
-                    };
-                }
-            }
-        }
+        // A drop stops the chain: later interceptors do not run.
+        let dropped_in = |chain: &mut [Box<dyn WriteInterceptor>], buf: &mut Vec<u8>| {
+            chain.iter_mut().any(|i| i.on_write(buf, &ctx) == WriteAction::Drop)
+        };
+        let dropped = dropped_in(&mut self.upstream, &mut current)
+            || guard.is_some_and(|g| g.on_write(&mut current, &ctx) == WriteAction::Drop)
+            || dropped_in(&mut self.downstream, &mut current);
         let mutated = current != original;
-        if mutated {
-            self.mutations += 1;
-        }
-        WriteOutcome { delivered: Some(current), dropped_by: None, mutated }
+        self.mutations += u64::from(mutated);
+        self.drops += u64::from(dropped);
+        WriteOutcome { delivered: (!dropped).then_some(current), mutated }
     }
 
     /// Pushes a feedback buffer through the read chain, returning the bytes
@@ -299,8 +308,59 @@ mod tests {
         ch.install(Box::new(AddOne)); // must never run
         let out = ch.write(vec![1], SimTime::ZERO);
         assert_eq!(out.delivered, None);
-        assert_eq!(out.dropped_by.as_deref(), Some("drop-all"));
         assert_eq!(ch.drops(), 1);
+    }
+
+    /// Appends its tag byte, so the delivered bytes spell the run order.
+    #[derive(Debug)]
+    struct Tag(u8);
+    impl WriteInterceptor for Tag {
+        fn on_write(&mut self, buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+            buf.push(self.0);
+            WriteAction::Forward
+        }
+        fn name(&self) -> &str {
+            "tag"
+        }
+    }
+
+    #[test]
+    fn guard_slot_runs_between_upstream_and_downstream() {
+        let mut ch = UsbChannel::new();
+        ch.install(Box::new(Tag(b'd')));
+        ch.install_first(Box::new(Tag(b'u')));
+        let out = ch.write_guarded(Vec::new(), SimTime::ZERO, Some(&mut Tag(b'g')));
+        assert_eq!(out.delivered.as_deref(), Some(&b"ugd"[..]));
+        assert_eq!(ch.write(Vec::new(), SimTime::ZERO).delivered.as_deref(), Some(&b"ud"[..]));
+    }
+
+    #[test]
+    fn guard_drop_stops_the_downstream_interceptors() {
+        #[derive(Debug)]
+        struct MustNotRun;
+        impl WriteInterceptor for MustNotRun {
+            fn on_write(&mut self, _buf: &mut Vec<u8>, _ctx: &WriteContext) -> WriteAction {
+                panic!("downstream interceptor ran after the guard dropped the write");
+            }
+            fn name(&self) -> &str {
+                "must-not-run"
+            }
+        }
+        let mut ch = UsbChannel::new();
+        ch.install(Box::new(MustNotRun));
+        let out = ch.write_guarded(vec![1], SimTime::ZERO, Some(&mut DropAll));
+        assert_eq!(out.delivered, None);
+        assert!(!out.mutated);
+        assert_eq!((ch.writes(), ch.drops(), ch.mutations()), (1, 1, 0));
+    }
+
+    #[test]
+    fn guard_rewrite_counts_as_a_mutation() {
+        let mut ch = UsbChannel::new();
+        let out = ch.write_guarded(vec![1], SimTime::ZERO, Some(&mut AddOne));
+        assert_eq!(out.delivered, Some(vec![2]));
+        assert!(out.mutated);
+        assert_eq!((ch.drops(), ch.mutations()), (0, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use simbus::{SimTime, SpanHandle};
 
 use crate::bitw::{BitwCodec, BitwPlacement};
 use crate::board::UsbBoard;
-use crate::channel::{UsbChannel, WriteOutcome};
+use crate::channel::{UsbChannel, WriteInterceptor, WriteOutcome};
 use crate::packet::{UsbCommandPacket, UsbFeedbackPacket, DAC_CHANNELS};
 use crate::plc::{EStopCause, Plc};
 
@@ -42,7 +42,7 @@ pub const OVERSPEED_LIMITS: [f64; 3] = [160.0, 160.0, 100.0];
 /// let mut rig = HardwareRig::new(PlantParams::raven_ii());
 /// rig.press_start(SimTime::ZERO);
 /// let pkt = UsbCommandPacket { state: RobotState::Init, watchdog: true, dac: [0; 8] };
-/// rig.deliver_command(&pkt, SimTime::ZERO);
+/// rig.deliver_command(&pkt, SimTime::ZERO, None);
 /// rig.step(SimTime::ZERO);
 /// let fb = rig.read_feedback(SimTime::ZERO);
 /// assert_eq!(fb.state, RobotState::Init);
@@ -177,15 +177,21 @@ impl HardwareRig {
         self.plc.press_estop();
     }
 
-    /// Delivers one command packet through the interceptor chain to the
-    /// board; the PLC observes the state byte of whatever actually arrived.
+    /// Delivers one command packet through the interceptor chain, with
+    /// `guard` in its guard slot, to the board; the PLC observes the state
+    /// byte of whatever actually arrived.
     ///
     /// With BITW enabled, the placement decides what the interceptors see:
     /// `Wire` (the real retrofit) encrypts downstream of the host, so the
     /// in-host malware still sees and mutates plaintext; `Host` encrypts
     /// upstream of `write`, so interceptors see only ciphertext and any
     /// mutation is rejected by the board-side authenticator.
-    pub fn deliver_command(&mut self, pkt: &UsbCommandPacket, now: SimTime) -> WriteOutcome {
+    pub fn deliver_command(
+        &mut self,
+        pkt: &UsbCommandPacket,
+        now: SimTime,
+        guard: Option<&mut dyn WriteInterceptor>,
+    ) -> WriteOutcome {
         // The write chain takes ownership of its input and hands the
         // delivered bytes to the caller inside the outcome, so this frame
         // is a genuine transfer; everything downstream (seal, open, the
@@ -202,7 +208,7 @@ impl HardwareRig {
                 false
             }
         };
-        let outcome = self.channel.write(frame, now);
+        let outcome = self.channel.write_guarded(frame, now, guard);
         if let Some(bytes) = &outcome.delivered {
             // The wire segment between chain and board.
             let mut open_buf = std::mem::take(&mut self.open_scratch);
@@ -357,7 +363,7 @@ mod tests {
     fn run_session(rig: &mut HardwareRig, dac0: i16, ms: u64) {
         rig.press_start(at(0));
         for t in 0..ms {
-            rig.deliver_command(&pedal_down(dac0, t % 2 == 0), at(t));
+            rig.deliver_command(&pedal_down(dac0, t % 2 == 0), at(t), None);
             rig.step(at(t));
         }
     }
@@ -371,13 +377,13 @@ mod tests {
         for t in 0..20 {
             let mut pkt = pedal_down(8000, t % 2 == 0);
             pkt.state = RobotState::PedalUp;
-            rig.deliver_command(&pkt, at(t));
+            rig.deliver_command(&pkt, at(t), None);
             rig.step(at(t));
         }
         assert_eq!(rig.plant.state().motor_pos(), m0);
         // Pedal Down: the same DAC moves the shoulder.
         for t in 20..60 {
-            rig.deliver_command(&pedal_down(8000, t % 2 == 0), at(t));
+            rig.deliver_command(&pedal_down(8000, t % 2 == 0), at(t), None);
             rig.step(at(t));
         }
         assert!(rig.plant.state().motor_pos().angles[0] > m0.angles[0]);
@@ -399,7 +405,7 @@ mod tests {
         assert!(rig.estop().is_none());
         // Watchdog stops toggling.
         for t in 20..40 {
-            rig.deliver_command(&pedal_down(2000, true), at(t));
+            rig.deliver_command(&pedal_down(2000, true), at(t), None);
             rig.step(at(t));
         }
         assert_eq!(rig.estop(), Some(EStopCause::WatchdogTimeout));
@@ -413,7 +419,7 @@ mod tests {
         rig.press_estop();
         let m = rig.plant.state().motor_pos();
         for t in 30..50 {
-            rig.deliver_command(&pedal_down(5000, t % 2 == 0), at(t));
+            rig.deliver_command(&pedal_down(5000, t % 2 == 0), at(t), None);
             rig.step(at(t));
         }
         assert_eq!(rig.plant.state().motor_pos(), m);
@@ -427,7 +433,7 @@ mod tests {
         dac[3] = 10_000; // wrist channel
         for t in 0..400 {
             let pkt = UsbCommandPacket { state: RobotState::PedalDown, watchdog: t % 2 == 0, dac };
-            rig.deliver_command(&pkt, at(t));
+            rig.deliver_command(&pkt, at(t), None);
             rig.step(at(t));
         }
         let target = 10_000.0 * WRIST_RAD_PER_COUNT;
@@ -456,7 +462,7 @@ mod tests {
         // Watchdog freezes -> PLC latches; exactly one latch event despite
         // the latch staying set for many cycles.
         for t in 20..40 {
-            rig.deliver_command(&pedal_down(2000, true), at(t));
+            rig.deliver_command(&pedal_down(2000, true), at(t), None);
             rig.step(at(t));
         }
         {
@@ -492,7 +498,7 @@ mod tests {
         let mut rig = HardwareRig::with_hardened_board(PlantParams::raven_ii());
         rig.channel.install(Box::new(Corruptor));
         rig.press_start(at(0));
-        rig.deliver_command(&pedal_down(0, true), at(0));
+        rig.deliver_command(&pedal_down(0, true), at(0), None);
         assert_eq!(rig.board.integrity_rejects(), 1);
         assert_eq!(rig.board.latched_dac()[0], 0);
     }

@@ -154,24 +154,41 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
             None => findings.push(f),
         }
     }
+    findings.extend(unresolved_entry_points(&cfg.hot_path_entry_points, &graph));
     // A stale exception is itself a finding: the allowlist must shrink
     // when the code it excuses goes away.
-    for (i, a) in cfg.allows.iter().enumerate() {
-        if !used[i] {
-            findings.push(Finding {
-                path: "raven-lint.toml".to_string(),
-                line: 1,
-                rule: "CONFIG".to_string(),
-                name: "stale-allowlist-entry".to_string(),
-                snippet: format!("rule = \"{}\", path = \"{}\"", a.rule, a.path),
-                hint: "this [[allow]] entry matched no finding; delete it (or fix its \
-                       `path`/`contains`) so the exception list stays honest"
-                    .to_string(),
-            });
-        }
+    for (a, _) in cfg.allows.iter().zip(&used).filter(|(_, &fired)| !fired) {
+        findings.push(config_finding(
+            "stale-allowlist-entry",
+            format!("rule = \"{}\", path = \"{}\"", a.rule, a.path),
+            "this [[allow]] entry matched no finding; delete it (or fix its \
+             `path`/`contains`) so the exception list stays honest",
+        ));
     }
     findings.sort();
     Ok(AuditReport { findings, files_scanned: files.len(), allowed })
+}
+
+/// A hot-path entry point that names no function checks nothing, so it is
+/// a `CONFIG` finding, like a stale allowlist entry.
+fn unresolved_entry_points(entries: &[String], graph: &CallGraph) -> Vec<Finding> {
+    let unresolved = entries.iter().filter(|spec| graph.entry_indices(spec).is_empty());
+    unresolved
+        .map(|spec| {
+            config_finding(
+                "unresolved-entry-point",
+                format!("entry_points = [\"{spec}\"]"),
+                "this [rules.hot_path] entry point names no function, so R3/R8 check \
+                 nothing from it; fix its `Type::method` spelling or delete it",
+            )
+        })
+        .collect()
+}
+
+/// A finding against `raven-lint.toml` itself.
+fn config_finding(name: &str, snippet: String, hint: &str) -> Finding {
+    let (path, rule) = ("raven-lint.toml".to_string(), "CONFIG".to_string());
+    Finding { path, line: 1, rule, name: name.to_string(), snippet, hint: hint.to_string() }
 }
 
 /// Does `path` fall under exclude/allow prefix `pat` (exact file, or a
@@ -263,6 +280,21 @@ mod tests {
         assert_eq!(crate_of("src/lib.rs"), "raven-repro");
         assert_eq!(crate_of("tests/end_to_end.rs"), "raven-repro");
         assert_eq!(crate_of("examples/quickstart.rs"), "raven-repro");
+    }
+
+    #[test]
+    fn entry_points_that_name_no_function_are_config_findings() {
+        let files = [SourceFile::parse(
+            "f.rs",
+            "struct HardwareRig;\nimpl HardwareRig {\n  fn step(&mut self) { }\n}\n",
+            false,
+        )];
+        let graph = CallGraph::build(&files);
+        let entries = ["HardwareRig::step".to_string(), "Rig::step".to_string()];
+        let findings = unresolved_entry_points(&entries, &graph);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "CONFIG");
+        assert_eq!(findings[0].snippet, "entry_points = [\"Rig::step\"]");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn catalog() -> &'static [RuleInfo] {
         RuleInfo {
             id: "CONFIG",
             name: "stale-allowlist-entry",
-            summary: "every [[allow]] entry must still match a finding",
+            summary: "every [[allow]] entry must still match a finding, and every hot-path entry point must name a function",
             scope: "raven-lint.toml",
         },
     ];

@@ -233,8 +233,8 @@ pub fn run_mutated_chaos_session(
     }
     let chaos_scheduled = if spec.chaos.is_off() { 0 } else { sim.install_chaos(&spec.chaos) };
     if let Some(m) = mutation {
-        if let Some(det) = sim.detector() {
-            det.lock().set_mutation(Some(m));
+        if let Some(det) = sim.detector_mut() {
+            det.set_mutation(Some(m));
         }
     }
     let booted = sim.boot_expecting_failure();

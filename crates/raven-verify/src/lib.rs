@@ -18,8 +18,8 @@
 //!   chain verification plus four-way tamper diagnosis), and
 //!   byte-identical replay.
 //! * [`probes`] — white-box conformance checks that drive a
-//!   [`raven_detect::DynamicDetector`] and [`raven_detect::GuardInterceptor`]
-//!   directly with crafted thresholds, pinning down each decision the
+//!   [`raven_detect::DynamicDetector`] and its write-path guard directly
+//!   with crafted thresholds, pinning down each decision the
 //!   detector makes (fusion rule, end-effector limit, block path, hold
 //!   semantics, alarm bookkeeping).
 //!

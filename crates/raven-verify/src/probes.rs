@@ -1,7 +1,7 @@
 //! White-box conformance probes over the detector and its guard.
 //!
-//! Each probe drives a [`DynamicDetector`] (or a [`GuardInterceptor`]
-//! wrapping one) directly, with *crafted* thresholds derived from the
+//! Each probe drives a [`DynamicDetector`] (its assessment, or its
+//! write-path guard) directly, with *crafted* thresholds derived from the
 //! features a reference command actually produces — so every probe is a
 //! deterministic truth-table check, independent of threshold training and
 //! plant tuning. Together the probes pin down every decision the detector
@@ -14,12 +14,9 @@
 //! `None` they all pass against the production implementation — the same
 //! code a release build runs, since each decision has one definition.
 
-use std::sync::Arc;
-
-use raven_detect::detector::shared;
 use raven_detect::{
-    DetectionThresholds, DetectorConfig, DetectorMutation, DynamicDetector, GuardInterceptor,
-    InstantFeatures, Mitigation,
+    DetectionThresholds, DetectorConfig, DetectorMutation, DynamicDetector, InstantFeatures,
+    Mitigation,
 };
 use raven_dynamics::{PlantParams, RtModel};
 use raven_hw::channel::{WriteAction, WriteContext, WriteInterceptor};
@@ -206,8 +203,7 @@ fn probe_ee_limit(mutation: Option<DetectorMutation>) -> Result<(), String> {
 fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::EStop);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
-    let mut guard = GuardInterceptor::new(Arc::clone(&det));
+    let mut guard = armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
 
     let mut safe = pedal_down_packet(GENTLE);
     if guard.on_write(&mut safe, &ctx()) != WriteAction::Forward {
@@ -217,7 +213,7 @@ fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), Stri
     if guard.on_write(&mut hot, &ctx()) != WriteAction::Drop {
         return Err("alarming packet must be dropped in E-STOP mitigation".into());
     }
-    if !det.lock().estop_requested() {
+    if !guard.estop_requested() {
         return Err("alarming packet must request the E-STOP".into());
     }
     Ok(())
@@ -231,8 +227,7 @@ fn probe_guard_block_path(mutation: Option<DetectorMutation>) -> Result<(), Stri
 fn probe_hold_semantics(mutation: Option<DetectorMutation>) -> Result<(), String> {
     let config = threshold_only_config(Mitigation::BlockAndHold);
     let f = reference_features(config, &VIOLENT)?;
-    let det = shared(armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation));
-    let mut guard = GuardInterceptor::new(Arc::clone(&det));
+    let mut guard = armed(config, scaled_thresholds(&f, 0.5, 0.5, 0.5), mutation);
 
     let oldest = [100, 30, -20];
     let newest = [200, 30, -20];

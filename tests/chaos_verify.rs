@@ -1,10 +1,14 @@
 //! Tier-1 chaos-harness invariants: seed-driven fault injection must be
 //! replay-deterministic (same spec ⇒ byte-identical reports, regardless
 //! of how many campaign workers run the jobs), and a disabled chaos
-//! schedule must consume no randomness at all.
+//! schedule must consume no randomness at all. Two guarded sessions with
+//! hardware chaos are pinned byte for byte, because that is where the
+//! guard's place in the USB write chain shows.
 
 use raven_core::{run_sweep, ExecutorConfig, SimConfig, Simulation};
+use raven_ledger::sha256_hex;
 use raven_verify::{run_chaos_session, run_oracles, suite_thresholds, Expectations, VerifySpec};
+use simbus::obs::FieldValue;
 use simbus::ChaosConfig;
 
 /// The short verification specs the worker-count sweep replays (sized
@@ -95,4 +99,42 @@ fn chaos_off_consumes_no_rng() {
         )
     };
     assert_eq!(run(false), run(true), "ChaosConfig::off() must not perturb the run");
+}
+
+/// A guarded session under standard chaos is pinned by the SHA-256 of its
+/// report. Each pinned run drops or silences USB frames during the attack,
+/// so the write chain runs the malware, then the guard, then the chaos
+/// frame drop: moving the guard relative to either changes the report.
+#[test]
+fn guarded_sessions_with_hardware_chaos_match_pinned_reports() {
+    let pinned = [
+        (
+            VerifySpec::estop_attack(6),
+            "a96ed309a5d7edbcecfc8790e19bb76dbdd36ea458d5abb5254d3d19b92adb31",
+        ),
+        (
+            VerifySpec::hold_attack(84),
+            "df2717fda70a1007baa44779aef020f3c4c6aeb855948162b95363feededaa49",
+        ),
+    ];
+    for (spec, hash) in pinned {
+        let spec = spec.with_chaos(ChaosConfig::standard());
+        let report = run_chaos_session(&spec, suite_thresholds());
+        let usb_faults = report
+            .events_of("chaos.injected")
+            .into_iter()
+            .filter(|e| {
+                matches!(e.field("fault"), Some(FieldValue::Str(f))
+                    if f == "hw.usb_frame_drop" || f == "hw.board_silence")
+            })
+            .count();
+        assert!(usb_faults > 0, "{} (seed {}) injected no USB write fault", spec.name, spec.seed);
+        assert_eq!(
+            sha256_hex(report.to_json().as_bytes()),
+            hash,
+            "{} (seed {}) report changed",
+            spec.name,
+            spec.seed
+        );
+    }
 }
