@@ -318,12 +318,16 @@ impl BatchDetector {
     /// [`assess_lanes`](Self::assess_lanes) with per-lane participation:
     /// `None` slots are *parked* this cycle — no assessment, no counter
     /// movement, verdict `None` — which is how the fleet multiplexer
-    /// runs a batch where only a subset of sessions is active. Parked
-    /// (and unsynced) lanes are still stepped with the batch, but are
-    /// re-loaded with the benign rest state and zero torque on every
-    /// call, so an idle lane can never drift toward non-finite values
-    /// over a long soak and never influences an engaged sibling (lanes
-    /// are arithmetically independent).
+    /// runs a batch where only a subset of sessions is active. Each call
+    /// steps only the lanes below its high-water mark, one past the
+    /// highest engaged lane; lanes at or above it are not touched, so a
+    /// fleet that packs its sessions into the low lanes pays for the
+    /// lanes it uses, not for the batch width. Parked (and unsynced)
+    /// lanes below the mark are stepped with their siblings, so they
+    /// are re-loaded with the benign rest state and zero torque on every
+    /// call: an idle lane can never drift toward non-finite values over
+    /// a long soak and never influences an engaged sibling (lanes are
+    /// arithmetically independent).
     ///
     /// # Panics
     ///
@@ -346,7 +350,13 @@ impl BatchDetector {
         dac_of: &dyn Fn(usize) -> Option<[i16; NUM_AXES]>,
     ) -> &[Option<Assessment>] {
         let m = self.lanes.len();
-        for l in 0..m {
+        // The high-water mark: one past the highest engaged lane (0 when
+        // none is). Only lanes below it are loaded and stepped.
+        let mark = (0..m)
+            .rev()
+            .find(|&l| dac_of(l).is_some() && self.lanes[l].tracked.is_some())
+            .map_or(0, |l| l + 1);
+        for l in 0..mark {
             self.engaged[l] = match (dac_of(l), self.lanes[l].tracked) {
                 (Some(dac), Some(current)) => {
                     self.model.load_state(l, &current);
@@ -354,15 +364,18 @@ impl BatchDetector {
                     true
                 }
                 _ => {
-                    // Parked or unsynced: reload rest state + zero torque
-                    // each call so the still-stepped lane stays finite.
+                    // Parked or unsynced below the mark: it is stepped with
+                    // its siblings, so reload rest state + zero torque each
+                    // call to keep it finite.
                     self.model.load_state(l, &PlantState::default());
                     self.model.set_torque(l, &[0.0; NUM_AXES]);
                     false
                 }
             };
         }
-        self.model.step_lanes();
+        // Lanes at or above the mark are neither loaded nor stepped.
+        self.engaged[mark..].fill(false);
+        self.model.step_lanes(mark);
         // One-step features per lane; ee_step may still grow below.
         for (l, lane) in self.lanes.iter().enumerate() {
             let current = match lane.tracked {
@@ -385,13 +398,14 @@ impl BatchDetector {
             self.verdicts[l] =
                 Some(Assessment { features, threshold_alarm: false, ee_alarm: false });
         }
-        // Lookahead rollout: the whole batch re-steps under the latched
-        // torques, then each lane checks its cumulative EE displacement.
+        // Lookahead rollout: the lanes below the mark re-step under the
+        // latched torques, then each engaged lane checks its cumulative
+        // EE displacement.
         if self.config.lookahead_steps > 1 {
             for _ in 1..self.config.lookahead_steps {
-                self.model.step_lanes();
+                self.model.step_lanes(mark);
             }
-            for (l, lane) in self.lanes.iter().enumerate() {
+            for (l, lane) in self.lanes[..mark].iter().enumerate() {
                 let Some(assessment) = &mut self.verdicts[l] else { continue };
                 let rolled = self.model.state(l);
                 let end = lane.arm.forward(&rolled.joint_pos()).position;

@@ -23,6 +23,17 @@
 //! under proptest across perturbed parameter sets and both
 //! integrators. All scratch (RK4 stages, cable-force rows) is
 //! allocated once at construction; stepping never allocates.
+//!
+//! # Lane prefixes
+//!
+//! [`BatchModel::step_lanes`] steps a lane prefix `0..n`, not always the
+//! whole batch. The derivative is evaluated for those lanes only and is
+//! zero for the rest, so the unchanged integrator leaves lanes `n..M`
+//! where they are. A caller that keeps its live sessions in the low lanes
+//! (the fleet monitor admits the lowest free lane) then pays for the
+//! lanes below its highest live one, not for the batch width. A stepped
+//! lane's arithmetic does not depend on `n`, so the bit-identity
+//! contract holds for every prefix.
 
 use raven_kinematics::{NUM_AXES, WRIST_AXES};
 use raven_math::ode::BatchScratch;
@@ -89,21 +100,39 @@ impl SoaParams {
     }
 }
 
-/// Flattened batch derivative: per-lane it is *exactly*
-/// [`crate::plant::derivative`] (same expressions, same evaluation
-/// order), restructured so the cable/motor arithmetic runs lane-inner
-/// over contiguous rows. `phys` is `3 * NUM_AXES * lanes` scratch for
-/// the `kq` / `kqd` / cable-force rows.
-fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], out: &mut [f64]) {
+/// Flattened batch derivative over the lane prefix `0..n`: per lane it
+/// is *exactly* [`crate::plant::derivative`] (same expressions, same
+/// evaluation order), restructured so the cable/motor arithmetic runs
+/// lane-inner over contiguous rows. Every row's lanes `n..lanes` are
+/// written as `0.0`, so an integrator step over the whole batch leaves
+/// those lanes where they are. `phys` is `3 * NUM_AXES * lanes` scratch
+/// for the `kq` / `kqd` / cable-force rows.
+fn derivative_lanes(
+    soa: &SoaParams,
+    n: usize,
+    x: &[f64],
+    tau: &[f64],
+    phys: &mut [f64],
+    out: &mut [f64],
+) {
     let m = soa.lanes;
+    debug_assert!(n <= m);
     debug_assert_eq!(x.len(), ODE_DIM * m);
     debug_assert_eq!(out.len(), ODE_DIM * m);
     debug_assert_eq!(tau.len(), NUM_AXES * m);
     debug_assert_eq!(phys.len(), 3 * NUM_AXES * m);
 
-    // d mpos = mvel, d jpos = jvel: whole-row copies.
-    out[..NUM_AXES * m].copy_from_slice(&x[NUM_AXES * m..2 * NUM_AXES * m]);
-    out[2 * NUM_AXES * m..3 * NUM_AXES * m].copy_from_slice(&x[3 * NUM_AXES * m..ODE_DIM * m]);
+    // d mpos = mvel, d jpos = jvel: row-prefix copies. Lanes past the
+    // prefix get a zero derivative in every row.
+    for d in 0..NUM_AXES {
+        let (src, dst) = ((NUM_AXES + d) * m, d * m);
+        out[dst..dst + n].copy_from_slice(&x[src..src + n]);
+        let (src, dst) = ((3 * NUM_AXES + d) * m, (2 * NUM_AXES + d) * m);
+        out[dst..dst + n].copy_from_slice(&x[src..src + n]);
+    }
+    for row in out.chunks_exact_mut(m) {
+        row[n..].fill(0.0);
+    }
 
     let (kq, rest) = phys.split_at_mut(NUM_AXES * m);
     let (kqd, f) = rest.split_at_mut(NUM_AXES * m);
@@ -111,9 +140,9 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
     // Routing rows: kq = K·jpos, kqd = K·jvel (unit-lower-triangular K),
     // matching the scalar `kq` / `kqd` arrays element for element.
     let (jp, jv) = (2 * NUM_AXES * m, 3 * NUM_AXES * m);
-    kq[..m].copy_from_slice(&x[jp..jp + m]);
-    kqd[..m].copy_from_slice(&x[jv..jv + m]);
-    for l in 0..m {
+    kq[..n].copy_from_slice(&x[jp..jp + n]);
+    kqd[..n].copy_from_slice(&x[jv..jv + n]);
+    for l in 0..n {
         kq[m + l] = soa.k21[l] * x[jp + l] + x[jp + m + l];
         kqd[m + l] = soa.k21[l] * x[jv + l] + x[jv + m + l];
         kq[2 * m + l] = soa.k31[l] * x[jp + l] + soa.k32[l] * x[jp + m + l] + x[jp + 2 * m + l];
@@ -123,7 +152,7 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
     // Cable forces and motor accelerations, lane-inner per axis.
     for i in 0..NUM_AXES {
         let row = i * m;
-        for l in 0..m {
+        for l in 0..n {
             let ratio = soa.ratio[row + l];
             let stretch = x[row + l] / ratio - kq[row + l];
             let stretch_rate = x[NUM_AXES * m + row + l] / ratio - kqd[row + l];
@@ -140,7 +169,7 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
 
     // Joint torques Kᵀ·f and link accelerations, per lane (trig-heavy;
     // shares the scalar `LinkParams::acceleration` for bit-identity).
-    for l in 0..m {
+    for l in 0..n {
         let tau_cable = [
             f[l] + soa.k21[l] * f[m + l] + soa.k31[l] * f[2 * m + l],
             f[m + l] + soa.k32[l] * f[2 * m + l],
@@ -156,7 +185,8 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
 }
 
 /// M estimator sessions stepped together over structure-of-arrays
-/// storage.
+/// storage; each step advances a lane prefix `0..n` (see
+/// [`step_lanes`](Self::step_lanes)).
 ///
 /// # Example
 ///
@@ -173,7 +203,7 @@ fn derivative_lanes(soa: &SoaParams, x: &[f64], tau: &[f64], phys: &mut [f64], o
 /// batch.load_state(1, &state);
 /// batch.set_dac(0, &[500, 0, 0]);
 /// batch.set_dac(1, &[500, 0, 0]);
-/// batch.step_lanes();
+/// batch.step_lanes(batch.lanes());
 ///
 /// // Lane 0 (exact parameters) is bit-identical to the scalar model.
 /// assert_eq!(batch.state(0), scalar.predict(&state, &[500, 0, 0]));
@@ -307,22 +337,36 @@ impl BatchModel {
         }
     }
 
-    /// Advances every lane by one integration step under its latched
-    /// torques. Allocation-free: all stage storage was reserved at
-    /// construction.
-    pub fn step_lanes(&mut self) {
+    /// Advances the lane prefix `0..n` by one integration step under
+    /// its latched torques; pass [`lanes`](Self::lanes) to step the whole
+    /// batch. Lanes `n..lanes` are not evaluated: their derivative rows
+    /// are zero, so they keep their state (a `-0.0` component comes back
+    /// as `0.0`), and `step_lanes(0)` returns without touching anything.
+    /// The arithmetic of a stepped lane does not depend on `n`, so lanes
+    /// `0..n` end bitwise where a full step would put them.
+    /// Allocation-free: all stage storage was reserved at construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the number of lanes.
+    pub fn step_lanes(&mut self, n: usize) {
+        let m = self.soa.lanes;
+        assert!(n <= m, "lane prefix {n} out of {m}");
+        if n == 0 {
+            return;
+        }
         let BatchModel { config, soa, x, tau, next, k, phys, .. } = self;
-        let n = x.len();
-        let (k1, rest) = k.split_at_mut(n);
-        let (k2, rest) = rest.split_at_mut(n);
-        let (k3, rest) = rest.split_at_mut(n);
-        let (k4, stage) = rest.split_at_mut(n);
+        let len = x.len();
+        let (k1, rest) = k.split_at_mut(len);
+        let (k2, rest) = rest.split_at_mut(len);
+        let (k3, rest) = rest.split_at_mut(len);
+        let (k4, stage) = rest.split_at_mut(len);
         let mut scratch = BatchScratch { k1, k2, k3, k4, stage };
         let soa: &SoaParams = soa;
         let tau: &[f64] = tau;
         let phys: &mut [f64] = phys;
         let mut deriv =
-            |xs: &[f64], _t: f64, dxs: &mut [f64]| derivative_lanes(soa, xs, tau, phys, dxs);
+            |xs: &[f64], _t: f64, dxs: &mut [f64]| derivative_lanes(soa, n, xs, tau, phys, dxs);
         config.method.step_batch(x, 0.0, config.step_size, &mut deriv, &mut scratch, next);
         std::mem::swap(x, next);
     }
@@ -353,7 +397,7 @@ mod tests {
                 let expected = scalar.predict(&state, &dac);
                 batch.load_state(0, &state);
                 batch.set_dac(0, &dac);
-                batch.step_lanes();
+                batch.step_lanes(batch.lanes());
                 let got = batch.state(0);
                 assert_eq!(got, expected, "{method} single-lane step diverged");
                 state = expected;
@@ -378,7 +422,7 @@ mod tests {
                     let dac = [(step * 100) as i16, -(l as i16) * 300, 250];
                     batch.set_dac(l, &dac);
                 }
-                batch.step_lanes();
+                batch.step_lanes(batch.lanes());
                 for (l, s) in states.iter_mut().enumerate() {
                     let dac = [(step * 100) as i16, -(l as i16) * 300, 250];
                     let expected = scalars[l].predict(s, &dac);
@@ -401,8 +445,8 @@ mod tests {
         let dac = [900, 500, -400];
         batch.load_state(0, &state);
         batch.set_dac(0, &dac);
-        batch.step_lanes();
-        batch.step_lanes();
+        batch.step_lanes(batch.lanes());
+        batch.step_lanes(batch.lanes());
         let expected = scalar.predict(&scalar.predict(&state, &dac), &dac);
         assert_eq!(batch.state(0), expected);
     }
@@ -414,7 +458,7 @@ mod tests {
         let mut s = rest(&params);
         s.wrist = [0.4, -0.1, 0.2, 0.9];
         batch.load_state(1, &s);
-        batch.step_lanes();
+        batch.step_lanes(batch.lanes());
         assert_eq!(batch.state(1).wrist, s.wrist);
         assert_eq!(batch.state(0).wrist, [0.0; WRIST_AXES]);
     }
@@ -442,10 +486,10 @@ mod tests {
             batch.load_state(0, &sib);
             batch.set_dac(0, &dac);
             batch.set_dac(1, &dac);
-            batch.step_lanes();
+            batch.step_lanes(batch.lanes());
             solo.load_state(0, &sib);
             solo.set_dac(0, &dac);
-            solo.step_lanes();
+            solo.step_lanes(solo.lanes());
             sib = solo.state(0);
             assert_eq!(batch.state(0), sib, "sibling perturbed at step {step}");
         }
@@ -457,6 +501,54 @@ mod tests {
             expect = scalar.predict(&expect, &dac);
         }
         assert_eq!(batch.state(1), expect);
+    }
+
+    fn bits(s: &PlantState) -> Vec<u64> {
+        s.x.iter().chain(&s.wrist).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn prefix_step_matches_a_full_step_and_leaves_the_other_lanes() {
+        let base = PlantParams::raven_ii();
+        let params: Vec<PlantParams> = (0..5).map(|l| base.perturbed(l as u64 + 1, 0.03)).collect();
+        for method in Method::all() {
+            let config = RtModelConfig { method, step_size: 1e-3 };
+            let mut loaded = BatchModel::with_params(&params, config);
+            for (l, p) in params.iter().enumerate() {
+                let mut s = rest(p);
+                let v = 0.1 * (l + 1) as f64;
+                s.x[3..6].copy_from_slice(&[v, -v, 0.5 * v]);
+                s.x[9..12].copy_from_slice(&[-0.2 * v, 0.1 * v, 0.01 * v]);
+                s.wrist = [0.1, -0.2, 0.3, v];
+                assert!(s.x.iter().chain(&s.wrist).all(|c| c.is_finite() && *c != 0.0));
+                loaded.load_state(l, &s);
+                loaded.set_dac(l, &[900 - 200 * l as i16, 400, -300]);
+            }
+            // One full step first, so the derivative scratch holds
+            // non-zero rows for every lane before a shorter prefix runs.
+            loaded.step_lanes(5);
+            for n in 0..=5 {
+                let mut full = loaded.clone();
+                let mut part = loaded.clone();
+                full.step_lanes(5);
+                part.step_lanes(n);
+                for l in 0..n {
+                    assert_eq!(bits(&part.state(l)), bits(&full.state(l)), "{method} n={n} l={l}");
+                }
+                for l in n..5 {
+                    let held = loaded.state(l);
+                    assert!(held.x.iter().all(|c| c.is_finite() && *c != 0.0));
+                    assert_eq!(bits(&part.state(l)), bits(&held), "{method} n={n} l={l} moved");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane prefix")]
+    fn prefix_longer_than_the_batch_panics() {
+        let params = PlantParams::raven_ii();
+        BatchModel::with_params(&[params, params], RtModelConfig::default()).step_lanes(3);
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
             scalar_states.push(rest);
         }
         for _ in 0..steps {
-            batch.step_lanes();
+            batch.step_lanes(batch.lanes());
             for (l, model) in models.iter().enumerate() {
                 scalar_states[l] = model.predict(&scalar_states[l], &lanes[l].2);
             }
@@ -99,15 +99,15 @@ proptest! {
             reference.load_state(l, &rest);
             reference.set_dac(l, dac);
         }
-        batch.step_lanes();
-        reference.step_lanes();
+        batch.step_lanes(batch.lanes());
+        reference.step_lanes(reference.lanes());
         // Lane 0 resets to a fresh pose mid-batch; the reference applies the
         // identical reload, so every *other* lane must agree bitwise.
         let fresh = params[0].rest_state(reload);
         batch.load_state(0, &fresh);
         reference.load_state(0, &fresh);
-        batch.step_lanes();
-        reference.step_lanes();
+        batch.step_lanes(batch.lanes());
+        reference.step_lanes(reference.lanes());
         for l in 0..lanes.len() {
             let got = bits(&batch.state(l));
             let want = bits(&reference.state(l));

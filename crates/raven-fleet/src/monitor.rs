@@ -20,8 +20,14 @@
 //! releases it ([`BatchDetector::retire_lane`]). If no lane is free,
 //! the activation re-arms one cycle later (a *deferral*) — bounded,
 //! because active phases are finite, and deterministic, because
-//! deferred sessions re-enter the queue in `(time, id)` order. Per
-//! the kernel's lane-isolation contract, admissions and retirements
+//! deferred sessions re-enter the queue in `(time, id)` order.
+//! Lowest-free-lane admission packs the active sessions into the low
+//! lanes, and the detector steps only the lanes below the highest
+//! engaged one, so a cycle's cost follows the active sessions rather
+//! than the batch width. A lane is handed out only when every lane
+//! below it is taken, so the run-long peak of that per-call mark equals
+//! [`MonitorReport::peak_active`]. Per the kernel's lane-isolation
+//! contract, admissions and retirements
 //! never perturb co-scheduled lanes — pinned by
 //! `tests/scheduler_props.rs` and the `fleet-isolation` chaos oracle.
 

@@ -205,6 +205,7 @@ impl CallGraph {
             }
         };
         let mut targets = match recv {
+            Receiver::None if caller.closures.iter().any(|c| c == name) => Vec::new(),
             Receiver::None => self.free_by_name.get(name).cloned().unwrap_or_default(),
             Receiver::Path(seg) => {
                 let seg = if seg == "Self" {

@@ -30,6 +30,9 @@ pub struct FnDecl {
     /// `(name, core type, crossed-a-lock-wrapper)` of each
     /// identifier-pattern parameter.
     pub params: Vec<(String, String, bool)>,
+    /// Names bound to closures in the body (`let [mut] f = [move] |..|`):
+    /// a receiverless call to one of these is the closure, not a fn item.
+    pub closures: Vec<String>,
     /// Declared with a `self` receiver.
     pub has_self: bool,
     /// Lives in `#[cfg(test)]` code or a test file.
@@ -396,6 +399,37 @@ fn attrs_above_contain(file: &SourceFile, at: usize, needle: &str) -> bool {
     }
 }
 
+/// Names bound by `let [mut] <ident> = [move] |` inside `body`.
+fn closure_bindings(s: &str, (open, close): (usize, usize)) -> Vec<String> {
+    let body = &s[open..close];
+    let b = body.as_bytes();
+    let mut out = Vec::new();
+    for at in find_token(body, "let") {
+        let mut i = skip_ws(body, at + 3);
+        let (mut name, mut end) = ident_at(body, i);
+        if name == "mut" {
+            i = skip_ws(body, end);
+            (name, end) = ident_at(body, i);
+        }
+        if name.is_empty() {
+            continue; // destructuring pattern
+        }
+        i = skip_ws(body, end);
+        if b.get(i) != Some(&b'=') || b.get(i + 1) == Some(&b'=') {
+            continue;
+        }
+        i = skip_ws(body, i + 1);
+        let (kw, kw_end) = ident_at(body, i);
+        if kw == "move" {
+            i = skip_ws(body, kw_end);
+        }
+        if b.get(i) == Some(&b'|') {
+            out.push(name.to_string());
+        }
+    }
+    out
+}
+
 /// Parses one file's items. `file_idx` is the caller's index for this
 /// file, stored on each item.
 pub fn parse_items(file: &SourceFile, file_idx: usize) -> FileItems {
@@ -470,6 +504,7 @@ pub fn parse_items(file: &SourceFile, file_idx: usize) -> FileItems {
             name_offset,
             body,
             params,
+            closures: body.map(|span| closure_bindings(s, span)).unwrap_or_default(),
             has_self,
             is_test: file.is_test_line(file.line_of(name_offset)),
         });
@@ -592,6 +627,17 @@ mod tests {
         assert!(sim.fields[1].is_lock);
         assert!(!sim.fields[0].is_lock);
         assert_eq!(it.trait_impls, vec![("Drop".to_string(), "Sim".to_string())]);
+    }
+
+    #[test]
+    fn closure_bindings_are_recorded_per_body() {
+        let src =
+            "fn f(a: bool, b: bool) {\n    let run = |x: u8| x;\n    let mut go = move || 1;\n    \
+                   let flag = a || b;\n    let (p, q) = (1, 2);\n    let n = run(go());\n}\n\
+                   fn g() {}\n";
+        let it = items(src);
+        assert_eq!(it.fns[0].closures, vec!["run".to_string(), "go".to_string()]);
+        assert!(it.fns[1].closures.is_empty());
     }
 
     #[test]

@@ -112,9 +112,15 @@ fn r3_callgraph_positive_and_negative() {
     let bad = hot_path("r3_callgraph_bad.rs", &[".unwrap(", "panic!("], "R3");
     assert_eq!(bad.len(), 1, "{bad:?}");
     assert!(bad[0].hint.contains("Sim::step → relay → sink"), "{bad:?}");
-    // cfg(test)-gated chain and an unreachable panic: both silent.
+    // cfg(test)-gated chain, an unreachable panic and a closure that
+    // shadows the panicking fn's name: all silent.
     let ok = hot_path("r3_callgraph_ok.rs", &[".unwrap(", "panic!("], "R3");
     assert!(ok.is_empty(), "{ok:?}");
+    let graph = CallGraph::build(&[fixture("r3_callgraph_ok.rs")]);
+    let step = graph.entry_indices("Sim::step")[0];
+    assert_eq!(graph.fns[step].closures, vec!["sink".to_string()]);
+    let call = graph.sites[step].iter().find(|c| c.name == "sink").expect("closure call site");
+    assert!(call.targets.is_empty(), "closure call linked to {:?}", call.targets);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! R3 (call-graph) negative: the same two-deep panic, but the only call
 //! chain into it is `#[cfg(test)]`-gated — and a second panic lives in a
-//! function nothing reaches. Neither may fire.
+//! function nothing reaches. The hot root calls a local closure named
+//! like the panicking `sink`, which must not link to it. None may fire.
 
 pub struct Sim {
     buf: Vec<u8>,
@@ -8,7 +9,8 @@ pub struct Sim {
 
 impl Sim {
     pub fn step(&mut self) -> u8 {
-        self.buf.first().copied().unwrap_or(0)
+        let sink = |buf: &[u8]| buf.first().copied().unwrap_or(0);
+        sink(&self.buf)
     }
 }
 

@@ -8,14 +8,17 @@
 //!   counters;
 //! * lane isolation — a lane of a 3-lane batch under masking,
 //!   `reset_session` and `retire_lane`/`admit_lane` equals a fresh
-//!   1-lane batch;
+//!   1-lane batch, and so does a lane of a 4-lane batch whose per-call
+//!   high-water mark (one past the highest engaged lane) moves;
 //! * fleet equivalence — a `FleetEngine` is byte-equal to running each
 //!   session standalone.
 
 #[path = "../crates/raven-detect/tests/reference/mod.rs"]
 mod reference;
 
-use raven_detect::{BatchDetector, DetectionThresholds, DetectorConfig, DynamicDetector};
+use raven_detect::{
+    BatchDetector, DetectionThresholds, DetectorConfig, DynamicDetector, FusionRule,
+};
 use raven_dynamics::{PlantParams, RtModel};
 use raven_fleet::{run_standalone, standard_mix, FleetConfig, FleetEngine};
 use raven_kinematics::{ArmConfig, JointState, MotorState, NUM_AXES};
@@ -132,6 +135,83 @@ fn a_batch_lane_is_isolated_from_its_siblings() {
         assert_eq!(batch.lane_first_alarm_assessment(l), s.lane_first_alarm_assessment(0));
         assert_eq!(batch.lane_estop_requested(l), s.lane_estop_requested(0), "lane {l}");
     }
+}
+
+#[test]
+fn the_high_water_mark_never_changes_a_verdict() {
+    // Which lanes hold a command at cycle `k`: the mark rises, falls and
+    // hits 0, with holes below it throughout.
+    fn engaged(k: usize) -> [bool; 4] {
+        match k {
+            0..=5 => [false, false, false, true], // only the top lane
+            6..=11 => [true; 4],
+            12..=17 => [true, false, false, false], // mark 4 → 1
+            18..=21 => [true, true, false, true],   // and back to 4
+            22..=23 => [false; 4],                  // all parked: mark 0
+            24..=29 => [false, true, true, true],
+            30..=32 => [true, true, true, false], // top lane retired
+            _ => [true; 4],
+        }
+    }
+    let mut alarms = 0;
+    for lookahead_steps in [2, 4] {
+        for fusion in [FusionRule::AllThree, FusionRule::AnyOne] {
+            let cfg = DetectorConfig { lookahead_steps, fusion, ..DetectorConfig::default() };
+            let sessions: Vec<_> = (1..5).map(session).collect();
+            let arms: Vec<_> = sessions.iter().map(|(a, _)| a.clone()).collect();
+            let models: Vec<_> = sessions.iter().map(|(_, m)| m.clone()).collect();
+            let solo = |(arm, model): &(ArmConfig, RtModel)| {
+                let mut b = BatchDetector::from_models(
+                    std::slice::from_ref(arm),
+                    std::slice::from_ref(model),
+                    cfg,
+                );
+                b.arm_lane(0, thresholds());
+                b
+            };
+            let mut batch = BatchDetector::from_models(&arms, &models, cfg);
+            let mut solos: Vec<_> = sessions.iter().map(solo).collect();
+            for lane in 0..4 {
+                batch.arm_lane(lane, thresholds());
+            }
+            let recycled = session(9);
+            for k in 0..40 {
+                if k == 30 {
+                    batch.retire_lane(3);
+                }
+                if k == 33 {
+                    batch.admit_lane(3, recycled.0.clone(), &recycled.1, Some(thresholds()));
+                    solos[3] = solo(&recycled);
+                }
+                let slots: Vec<Option<[i16; NUM_AXES]>> =
+                    (0..4).map(|l| engaged(k)[l].then(|| command(k, l))).collect();
+                for (l, slot) in slots.iter().enumerate() {
+                    // The freshly admitted top lane holds a command before
+                    // its first measurement: unsynced, so not engaged.
+                    if slot.is_some() && !(k == 33 && l == 3) {
+                        batch.sync_lane(l, measurement(k, l));
+                        solos[l].sync_lane(0, measurement(k, l));
+                    }
+                }
+                let got = batch.assess_lanes_masked(&slots).to_vec();
+                for (l, slot) in slots.iter().enumerate() {
+                    let want = slot.and_then(|dac| solos[l].assess_lanes(&[dac])[0]);
+                    assert_eq!(
+                        got[l], want,
+                        "lookahead {lookahead_steps} {fusion:?} lane {l} cycle {k}"
+                    );
+                }
+            }
+            for (l, s) in solos.iter().enumerate() {
+                assert_eq!(batch.lane_assessments(l), s.lane_assessments(0), "lane {l}");
+                assert_eq!(batch.lane_alarms(l), s.lane_alarms(0), "lane {l}");
+                assert_eq!(batch.lane_first_alarm_assessment(l), s.lane_first_alarm_assessment(0));
+                assert_eq!(batch.lane_estop_requested(l), s.lane_estop_requested(0), "lane {l}");
+                alarms += batch.lane_alarms(l);
+            }
+        }
+    }
+    assert!(alarms > 0, "no lane ever alarmed");
 }
 
 #[test]
